@@ -29,9 +29,8 @@ They sit alongside the pre-existing groups
 config-driven engine API. Validation lives in ``__post_init__`` (the
 scattered ``if ... raise ValueError`` checks moved out of
 ``ServingEngine.__init__``), so a malformed group fails at construction —
-before any engine exists. The old flat keyword arguments keep working
-through a deprecation shim on the engine; see
-:class:`~repro.serving.engine.ServingEngine`.
+before any engine exists. The grouped configs are the only spelling the
+engine accepts.
 """
 
 from __future__ import annotations

@@ -716,7 +716,7 @@ class FleetEngine:
         active memory tier with an empty queue of their own, tried in
         lane order. The owner keeps all accounting — its latencies, its
         fault draws, its bill — while the donor's pool hosts the
-        container (see ``ServingEngine._start_batch_foreign``). Returns
+        container (see ``ServingEngine._start_batch``). Returns
         the owner lanes that dispatched (their event heap changed).
         """
         min_queue = self.failover.min_queue
@@ -739,9 +739,11 @@ class FleetEngine:
                     if lease is None:
                         break
                     batch = o_st.queue.popleft()
-                    o_eng._start_batch_foreign(
-                        o_st, o_ctx, batch, memory_mb, lease, now, d,
-                        d_eng._straggler_factor(d_ctx, lease.container_id),
+                    o_eng._start_batch(
+                        o_st, o_ctx, batch, memory_mb, lease.cold_delay,
+                        lease.cold, lease.container_id, now, donor=d,
+                        slowdown=d_eng._straggler_factor(d_ctx,
+                                                         lease.container_id),
                     )
                     changed.add(o)
                 if not o_st.queue:

@@ -1,9 +1,9 @@
-"""Grouped-config engine API (PR 6) and its deprecation shim.
+"""Grouped-config engine API (PR 6).
 
-The regroup of ``ServingEngine`` kwargs into :class:`DriftConfig` /
-:class:`PredictionDriftConfig` must be a pure API change: the flat
-pre-PR-6 spelling still works (with exactly one ``DeprecationWarning``)
-and produces **bit-identical** runs.
+Drift and prediction-drift knobs reach ``ServingEngine`` only through
+:class:`DriftConfig` / :class:`PredictionDriftConfig`; the checkpoint
+fingerprint keeps the key names and values of the older flat spelling so
+snapshots written before the regroup still restore.
 """
 
 import warnings
@@ -13,12 +13,17 @@ import pytest
 
 from repro.batching.config import BatchConfig
 from repro.core.drift import WorkloadDriftDetector
-from repro.serverless.platform import ServerlessPlatform
 from repro.serving import DriftConfig, PredictionDriftConfig, ServingEngine
 
 pytestmark = pytest.mark.serving
 
 CONFIG = BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05)
+
+DRIFT_KEYS = (
+    "drift_window", "drift_check_every", "drift_cooldown_s",
+    "retrain_delay_s", "prediction_baseline_error", "prediction_tolerance",
+    "prediction_min_samples",
+)
 
 
 def poisson(lam, n, seed):
@@ -32,92 +37,17 @@ def fitted_detector(lam=50.0, window=32):
 
 
 class TestGroupedFlatEquivalence:
-    def test_flat_kwargs_run_bit_identical_to_grouped(self):
-        detector = fitted_detector()
-        ts = poisson(500.0, 2000, seed=1)
-
-        grouped = ServingEngine(
-            CONFIG, platform=ServerlessPlatform(seed=5),
-            drift=DriftConfig(detector=detector, window=32, check_every=16,
-                              cooldown_s=5.0),
-            prediction=PredictionDriftConfig(baseline_error=0.1,
-                                             tolerance=2.0, min_samples=32),
-        ).run(ts, record_trace=True)
-
-        with pytest.warns(DeprecationWarning):
-            engine = ServingEngine(
-                CONFIG, platform=ServerlessPlatform(seed=5),
-                drift_detector=detector, drift_window=32,
-                drift_check_every=16, drift_cooldown_s=5.0,
-                prediction_baseline_error=0.1, prediction_tolerance=2.0,
-                prediction_min_samples=32,
-            )
-        flat = engine.run(ts, record_trace=True)
-
-        np.testing.assert_array_equal(flat.latencies, grouped.latencies)
-        np.testing.assert_array_equal(flat.batch_costs, grouped.batch_costs)
-        assert flat.event_trace == grouped.event_trace
-        assert len(flat.decisions) == len(grouped.decisions)
-
-    def test_exactly_one_warning_for_many_flat_kwargs(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ServingEngine(
-                CONFIG,
-                drift_window=64, drift_check_every=32, retrain_delay_s=2.0,
-                prediction_baseline_error=0.1,
-            )
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        # The single warning names every flat kwarg that was used.
-        for name in ("drift_window", "drift_check_every",
-                     "retrain_delay_s", "prediction_baseline_error"):
-            assert name in message
-
     def test_grouped_spelling_warns_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ServingEngine(CONFIG, drift=DriftConfig(window=64),
                           prediction=PredictionDriftConfig(baseline_error=0.1))
 
-    def test_flat_prediction_without_baseline_stays_disabled(self):
-        # Old semantics: prediction drift was armed iff baseline_error was
-        # given; tolerance/min_samples alone configured nothing.
-        with pytest.warns(DeprecationWarning):
-            engine = ServingEngine(CONFIG, prediction_tolerance=3.0)
-        assert engine.prediction_config is None
-
 
 class TestShimErrors:
     def test_unknown_kwarg_is_type_error(self):
         with pytest.raises(TypeError, match="drift_widnow"):
             ServingEngine(CONFIG, drift_widnow=64)
-
-    def test_mixing_grouped_and_flat_drift_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                ServingEngine(CONFIG, drift=DriftConfig(window=64),
-                              drift_check_every=16)
-
-    def test_mixing_grouped_and_flat_prediction_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                ServingEngine(
-                    CONFIG,
-                    prediction=PredictionDriftConfig(baseline_error=0.1),
-                    prediction_baseline_error=0.2,
-                )
-
-    def test_flat_drift_with_grouped_prediction_is_fine(self):
-        with pytest.warns(DeprecationWarning):
-            engine = ServingEngine(
-                CONFIG, drift_window=64,
-                prediction=PredictionDriftConfig(baseline_error=0.1),
-            )
-        assert engine.drift_config.window == 64
-        assert engine.prediction_config.baseline_error == 0.1
 
 
 class TestConfigValidation:
@@ -144,22 +74,36 @@ class TestConfigValidation:
         with pytest.raises(AttributeError):
             cfg.window = 32
 
-    def test_flat_attribute_views_preserved(self):
-        # Checkpoint fingerprints and downstream code read the flat
-        # attributes; the grouped API must keep them in place.
-        detector = fitted_detector()
+    def test_fingerprint_keys_and_values_pinned(self):
+        # Checkpoints written before the grouped API carry these flat key
+        # names; restore compares the dicts key by key.
         engine = ServingEngine(
             CONFIG,
-            drift=DriftConfig(detector=detector, window=48, check_every=24,
-                              cooldown_s=9.0, retrain_delay_s=1.5),
+            drift=DriftConfig(detector=fitted_detector(), window=48,
+                              check_every=24, cooldown_s=9.0,
+                              retrain_delay_s=1.5),
             prediction=PredictionDriftConfig(baseline_error=0.2,
                                              tolerance=4.0, min_samples=16),
         )
-        assert engine.drift_detector is detector
-        assert engine.drift_window == 48
-        assert engine.drift_check_every == 24
-        assert engine.drift_cooldown_s == 9.0
-        assert engine.retrain_delay_s == 1.5
-        assert engine.prediction_baseline_error == 0.2
-        assert engine.prediction_tolerance == 4.0
-        assert engine.prediction_min_samples == 16
+        fp = engine._fingerprint()
+        assert {k: fp[k] for k in DRIFT_KEYS} == {
+            "drift_window": 48, "drift_check_every": 24,
+            "drift_cooldown_s": 9.0, "retrain_delay_s": 1.5,
+            "prediction_baseline_error": 0.2, "prediction_tolerance": 4.0,
+            "prediction_min_samples": 16,
+        }
+        # A disabled prediction trigger keeps the old defaults.
+        fp = ServingEngine(CONFIG)._fingerprint()
+        assert {k: fp[k] for k in DRIFT_KEYS} == {
+            "drift_window": 64, "drift_check_every": 32,
+            "drift_cooldown_s": 30.0, "retrain_delay_s": None,
+            "prediction_baseline_error": None, "prediction_tolerance": 2.0,
+            "prediction_min_samples": 64,
+        }
+        assert sorted(fp) == sorted([
+            "initial_config", "slo", "pool", "deploy_delay_s",
+            "decision_interval_s", "history_tail", "min_history",
+            *DRIFT_KEYS, "sequence_length", "guardrail", "prewarm",
+            "generation", "outages", "degrade", "platform_seed",
+            "platform_faults", "platform_retry", "platform_concurrency",
+        ])
