@@ -98,10 +98,12 @@ from repro.serving.prewarm import (
     PrewarmPolicy,
     RateForecaster,
 )
+from repro.serving.schema import ConfigError
 
 __all__ = [
     "BrownoutConfig",
     "CheckpointError",
+    "ConfigError",
     "DegradeConfig",
     "DriftConfig",
     "EmpiricalRateForecaster",

@@ -47,8 +47,6 @@ Scheduled windows may be replaced by a sampled schedule::
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -59,6 +57,15 @@ from repro.serverless.outages import (
     OutageWindow,
     StragglerModel,
     sample_outage_windows,
+)
+from repro.serving.schema import (
+    ConfigError,
+    as_object,
+    check_keys,
+    fail,
+    integer,
+    load_json,
+    number,
 )
 
 __all__ = [
@@ -186,8 +193,9 @@ class FailoverConfig:
 # --------------------------------------------------------------------------
 
 
-class OutageConfigError(ValueError):
-    """An outage config failed validation; the message names the path."""
+#: Every serving config error is one :class:`ConfigError`; the name is
+#: kept for callers that catch outage-config errors.
+OutageConfigError = ConfigError
 
 
 _OUTAGE_KEYS = {"windows", "random", "crash", "straggler", "seed", "degrade"}
@@ -204,147 +212,94 @@ _BROWNOUT_KEYS = {"max_total_queued"}
 _FAILOVER_KEYS = {"min_queue"}
 
 
-def _fail(path: str, message: str) -> None:
-    raise OutageConfigError(f"{path}: {message}")
-
-
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys {unknown} (allowed: {sorted(allowed)})")
-
-
-def _object(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
-    return obj
-
-
-def _number(obj: dict, key: str, path: str, default=None, *,
-            minimum: float | None = None, maximum: float | None = None,
-            strict: bool = False, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
-    if minimum is not None:
-        if strict and not v > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum:g}, got {v:g}")
-        if not strict and not v >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum:g}, got {v:g}")
-    if maximum is not None and v > maximum:
-        _fail(f"{path}.{key}", f"must be <= {maximum:g}, got {v:g}")
-    return v
-
-
-def _integer(obj: dict, key: str, path: str, default=None, *,
-             minimum: int | None = None, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
-
-
 def _windows(obj, path: str) -> tuple[OutageWindow, ...]:
     if not isinstance(obj, list):
-        _fail(path, f"must be an array, got {type(obj).__name__}")
+        fail(path, f"must be an array, got {type(obj).__name__}")
     windows = []
     for i, entry in enumerate(obj):
         wpath = f"{path}[{i}]"
-        entry = _object(entry, wpath)
-        _check_keys(entry, _WINDOW_KEYS, wpath)
+        entry = as_object(entry, wpath)
+        check_keys(entry, _WINDOW_KEYS, wpath)
         if "start" not in entry or "end" not in entry:
-            _fail(wpath, "must set both start and end")
-        start = _number(entry, "start", wpath, minimum=0.0)
-        end = _number(entry, "end", wpath, minimum=0.0)
+            fail(wpath, "must set both start and end")
+        start = number(entry, "start", wpath, minimum=0.0)
+        end = number(entry, "end", wpath, minimum=0.0)
         if end <= start:
-            _fail(f"{wpath}.end", f"must be > start ({start:g}), got {end:g}")
+            fail(f"{wpath}.end", f"must be > start ({start:g}), got {end:g}")
         windows.append(OutageWindow(start, end))
     return tuple(windows)
 
 
 def _random_windows(obj, path: str, seed: int) -> tuple[OutageWindow, ...]:
-    obj = _object(obj, path)
-    _check_keys(obj, _RANDOM_KEYS, path)
+    obj = as_object(obj, path)
+    check_keys(obj, _RANDOM_KEYS, path)
     if "horizon_s" not in obj:
-        _fail(path, "must set horizon_s")
+        fail(path, "must set horizon_s")
     return sample_outage_windows(
         seed=seed,
-        horizon_s=_number(obj, "horizon_s", path, minimum=0.0, strict=True),
-        mean_up_s=_number(obj, "mean_up_s", path, default=60.0, minimum=0.0,
-                          strict=True),
-        mean_down_s=_number(obj, "mean_down_s", path, default=10.0,
-                            minimum=0.0, strict=True),
-        t_start=_number(obj, "t_start", path, default=0.0, minimum=0.0),
+        horizon_s=number(obj, "horizon_s", path, minimum=0.0, strict=True),
+        mean_up_s=number(obj, "mean_up_s", path, default=60.0, minimum=0.0,
+                         strict=True),
+        mean_down_s=number(obj, "mean_down_s", path, default=10.0,
+                           minimum=0.0, strict=True),
+        t_start=number(obj, "t_start", path, default=0.0, minimum=0.0),
     )
 
 
 def _crash(obj, path: str) -> CrashHazard:
-    obj = _object(obj, path)
-    _check_keys(obj, _CRASH_KEYS, path)
+    obj = as_object(obj, path)
+    check_keys(obj, _CRASH_KEYS, path)
     return CrashHazard(
-        rate=_number(obj, "rate", path, default=0.0, minimum=0.0,
-                     maximum=1.0),
-        outage_rate=_number(obj, "outage_rate", path, minimum=0.0,
-                            maximum=1.0, nullable=True),
+        rate=number(obj, "rate", path, default=0.0, minimum=0.0,
+                    maximum=1.0),
+        outage_rate=number(obj, "outage_rate", path, minimum=0.0,
+                           maximum=1.0, nullable=True),
     )
 
 
 def _straggler(obj, path: str) -> StragglerModel:
-    obj = _object(obj, path)
-    _check_keys(obj, _STRAGGLER_KEYS, path)
+    obj = as_object(obj, path)
+    check_keys(obj, _STRAGGLER_KEYS, path)
     return StragglerModel(
-        rate=_number(obj, "rate", path, default=0.0, minimum=0.0, maximum=1.0),
-        slowdown=_number(obj, "slowdown", path, default=3.0, minimum=1.0),
+        rate=number(obj, "rate", path, default=0.0, minimum=0.0, maximum=1.0),
+        slowdown=number(obj, "slowdown", path, default=3.0, minimum=1.0),
     )
 
 
 def _backoff(obj, path: str) -> RetryPolicy:
-    obj = _object(obj, path)
-    _check_keys(obj, _BACKOFF_KEYS, path)
+    obj = as_object(obj, path)
+    check_keys(obj, _BACKOFF_KEYS, path)
     return RetryPolicy(
-        max_attempts=_integer(obj, "max_attempts", path, default=3, minimum=1),
-        base_backoff_s=_number(obj, "base_backoff_s", path, default=0.05,
-                               minimum=0.0),
-        multiplier=_number(obj, "multiplier", path, default=2.0, minimum=1.0),
-        jitter=_number(obj, "jitter", path, default=0.1, minimum=0.0),
-        max_total_delay_s=_number(obj, "max_total_delay_s", path,
-                                  minimum=0.0, strict=True, nullable=True),
+        max_attempts=integer(obj, "max_attempts", path, default=3, minimum=1),
+        base_backoff_s=number(obj, "base_backoff_s", path, default=0.05,
+                              minimum=0.0),
+        multiplier=number(obj, "multiplier", path, default=2.0, minimum=1.0),
+        jitter=number(obj, "jitter", path, default=0.1, minimum=0.0),
+        max_total_delay_s=number(obj, "max_total_delay_s", path,
+                                 minimum=0.0, strict=True, nullable=True),
     )
 
 
 def _hedge(obj, path: str) -> HedgeConfig:
-    obj = _object(obj, path)
-    _check_keys(obj, _HEDGE_KEYS, path)
-    min_obs = _integer(obj, "min_observations", path, default=16, minimum=1)
-    window = _integer(obj, "window", path, default=128, minimum=1)
+    obj = as_object(obj, path)
+    check_keys(obj, _HEDGE_KEYS, path)
+    min_obs = integer(obj, "min_observations", path, default=16, minimum=1)
+    window = integer(obj, "window", path, default=128, minimum=1)
     if window < min_obs:
-        _fail(f"{path}.window", f"must be >= min_observations ({min_obs})")
+        fail(f"{path}.window", f"must be >= min_observations ({min_obs})")
     return HedgeConfig(
-        percentile=_number(obj, "percentile", path, default=95.0,
-                           minimum=0.0, maximum=100.0, strict=True),
-        multiplier=_number(obj, "multiplier", path, default=1.0, minimum=0.0,
-                           strict=True),
+        percentile=number(obj, "percentile", path, default=95.0,
+                          minimum=0.0, maximum=100.0, strict=True),
+        multiplier=number(obj, "multiplier", path, default=1.0, minimum=0.0,
+                          strict=True),
         min_observations=min_obs,
         window=window,
     )
 
 
 def _degrade(obj, path: str) -> DegradeConfig:
-    obj = _object(obj, path)
-    _check_keys(obj, _DEGRADE_KEYS, path)
+    obj = as_object(obj, path)
+    check_keys(obj, _DEGRADE_KEYS, path)
     return DegradeConfig(
         backoff=(_backoff(obj["backoff"], f"{path}.backoff")
                  if obj.get("backoff") is not None else None),
@@ -363,11 +318,11 @@ def validate_outage_config(
     ``endpoints[i].outages``). The second element is ``None`` when the
     document configures no degradation stack.
     """
-    doc = _object(doc, path)
-    _check_keys(doc, _OUTAGE_KEYS, path)
+    doc = as_object(doc, path)
+    check_keys(doc, _OUTAGE_KEYS, path)
     if "windows" in doc and "random" in doc:
-        _fail(path, "windows and random are mutually exclusive")
-    seed = _integer(doc, "seed", path, default=0, minimum=0)
+        fail(path, "windows and random are mutually exclusive")
+    seed = integer(doc, "seed", path, default=0, minimum=0)
     if doc.get("random") is not None:
         windows = _random_windows(doc["random"], f"{path}.random", seed)
     elif doc.get("windows") is not None:
@@ -404,24 +359,24 @@ def validate_fleet_degrade(
     and failover; per-engine backoff/hedging lives in each endpoint's
     ``"outages"`` entry. Returns ``(brownout, failover)``.
     """
-    doc = _object(doc, path)
-    _check_keys(doc, _FLEET_DEGRADE_KEYS, path)
+    doc = as_object(doc, path)
+    check_keys(doc, _FLEET_DEGRADE_KEYS, path)
     brownout = failover = None
     if doc.get("brownout") is not None:
-        obj = _object(doc["brownout"], f"{path}.brownout")
-        _check_keys(obj, _BROWNOUT_KEYS, f"{path}.brownout")
+        obj = as_object(doc["brownout"], f"{path}.brownout")
+        check_keys(obj, _BROWNOUT_KEYS, f"{path}.brownout")
         if "max_total_queued" not in obj:
-            _fail(f"{path}.brownout", "must set max_total_queued")
+            fail(f"{path}.brownout", "must set max_total_queued")
         brownout = BrownoutConfig(
-            max_total_queued=_integer(obj, "max_total_queued",
-                                      f"{path}.brownout", minimum=0)
+            max_total_queued=integer(obj, "max_total_queued",
+                                     f"{path}.brownout", minimum=0)
         )
     if doc.get("failover") is not None:
-        obj = _object(doc["failover"], f"{path}.failover")
-        _check_keys(obj, _FAILOVER_KEYS, f"{path}.failover")
+        obj = as_object(doc["failover"], f"{path}.failover")
+        check_keys(obj, _FAILOVER_KEYS, f"{path}.failover")
         failover = FailoverConfig(
-            min_queue=_integer(obj, "min_queue", f"{path}.failover",
-                               default=1, minimum=1)
+            min_queue=integer(obj, "min_queue", f"{path}.failover",
+                              default=1, minimum=1)
         )
     return brownout, failover
 
@@ -435,15 +390,4 @@ def load_outage_config(
     message on any problem — unreadable file, invalid JSON, or a schema
     violation.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise OutageConfigError(
-            f"cannot read {os.fspath(path)}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise OutageConfigError(
-            f"{os.fspath(path)} is not valid JSON: {exc}"
-        ) from exc
-    return validate_outage_config(doc)
+    return validate_outage_config(load_json(path))

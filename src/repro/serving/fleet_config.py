@@ -32,7 +32,6 @@ supply per-endpoint platforms and choosers.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -45,21 +44,27 @@ from repro.serving.degrade import (
     BrownoutConfig,
     DegradeConfig,
     FailoverConfig,
-    OutageConfigError,
     validate_fleet_degrade,
     validate_outage_config,
 )
 from repro.serving.fleet import EndpointSpec, FleetEngine, FleetScheduler
-from repro.serving.generation import (
-    GenerationConfigError,
-    validate_generation_config,
-)
+from repro.serving.generation import validate_generation_config
 from repro.serving.pool import WarmPoolConfig
 from repro.serving.prewarm import EmpiricalRateForecaster
+from repro.serving.schema import (
+    ConfigError,
+    as_object,
+    check_keys,
+    fail,
+    integer,
+    load_json,
+    number,
+)
 
 
-class FleetConfigError(ValueError):
-    """A fleet config file failed validation; the message names the path."""
+#: Every serving config error is one :class:`ConfigError`; the name is
+#: kept for callers that catch fleet errors.
+FleetConfigError = ConfigError
 
 
 #: Recognized chooser names (resolved by the caller's ``chooser_factory``).
@@ -183,146 +188,79 @@ class FleetConfig:
 
 
 # ------------------------------------------------------------- validation
-def _fail(path: str, message: str) -> None:
-    raise FleetConfigError(f"{path}: {message}")
-
-
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys {unknown} (allowed: {sorted(allowed)})")
-
-
-def _number(obj: dict, key: str, path: str, default=None, *,
-            required: bool = False, minimum: float | None = None,
-            strict: bool = False, nullable: bool = False):
-    if key not in obj:
-        if required:
-            _fail(f"{path}.{key}", "is required")
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
-    if minimum is not None:
-        if strict and not v > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum:g}, got {v:g}")
-        if not strict and not v >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum:g}, got {v:g}")
-    return v
-
-
-def _integer(obj: dict, key: str, path: str, default=None, *,
-             required: bool = False, minimum: int | None = None,
-             nullable: bool = False):
-    if key not in obj:
-        if required:
-            _fail(f"{path}.{key}", "is required")
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
-
-
 def _prewarm(obj, path: str) -> PrewarmConfig:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
-    _check_keys(obj, _PREWARM_KEYS, path)
+    as_object(obj, path)
+    check_keys(obj, _PREWARM_KEYS, path)
     retire = obj.get("retire", False)
     if not isinstance(retire, bool):
-        _fail(f"{path}.retire", f"must be a boolean, got {retire!r}")
+        fail(f"{path}.retire", f"must be a boolean, got {retire!r}")
     return PrewarmConfig(
         forecaster=EmpiricalRateForecaster(),
-        interval_s=_number(obj, "interval_s", path, default=1.0,
-                           minimum=0.0, strict=True),
-        horizon_s=_number(obj, "horizon_s", path, minimum=0.0, strict=True,
-                          nullable=True),
-        headroom=_number(obj, "headroom", path, default=1.0,
-                         minimum=0.0, strict=True),
-        max_per_tick=_integer(obj, "max_per_tick", path, minimum=1,
-                              nullable=True),
+        interval_s=number(obj, "interval_s", path, default=1.0,
+                          minimum=0.0, strict=True),
+        horizon_s=number(obj, "horizon_s", path, minimum=0.0, strict=True,
+                         nullable=True),
+        headroom=number(obj, "headroom", path, default=1.0,
+                        minimum=0.0, strict=True),
+        max_per_tick=integer(obj, "max_per_tick", path, minimum=1,
+                             nullable=True),
         retire=retire,
-        window=_integer(obj, "window", path, default=256, minimum=1),
+        window=integer(obj, "window", path, default=256, minimum=1),
     )
 
 
-def _generation(obj, path: str) -> GenerationConfig:
-    # The generation schema lives next to its config; re-label its error
-    # so fleet callers see a single exception type with the full path.
-    try:
-        return validate_generation_config(obj, path)
-    except GenerationConfigError as exc:
-        raise FleetConfigError(str(exc)) from exc
-
-
-def _outages(obj, path: str) -> tuple[OutageModel, DegradeConfig | None]:
-    # Same re-labeling for the outage schema (repro.serving.degrade).
-    try:
-        return validate_outage_config(obj, path)
-    except OutageConfigError as exc:
-        raise FleetConfigError(str(exc)) from exc
-
-
 def _endpoint(obj, path: str) -> EndpointConfig:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
-    _check_keys(obj, _ENDPOINT_KEYS, path)
+    as_object(obj, path)
+    check_keys(obj, _ENDPOINT_KEYS, path)
     name = obj.get("name")
     if not isinstance(name, str) or not name:
-        _fail(f"{path}.name", "is required and must be a non-empty string")
+        fail(f"{path}.name", "is required and must be a non-empty string")
     if "." in name:
-        _fail(f"{path}.name", f"must not contain '.', got {name!r} "
+        fail(f"{path}.name", f"must not contain '.', got {name!r} "
                               "(names namespace telemetry as serving.<name>.*)")
     chooser = obj.get("chooser", "none")
     if chooser not in CHOOSERS:
-        _fail(f"{path}.chooser", f"must be one of {list(CHOOSERS)}, "
+        fail(f"{path}.chooser", f"must be one of {list(CHOOSERS)}, "
                                  f"got {chooser!r}")
-    share = _number(obj, "share", path, minimum=0.0, strict=True)
+    share = number(obj, "share", path, minimum=0.0, strict=True)
     if share is not None and share > 1.0:
-        _fail(f"{path}.share", f"must be <= 1, got {share:g}")
-    keep_alive = _number(obj, "keep_alive_s", path, default=math.inf,
-                         minimum=0.0)
+        fail(f"{path}.share", f"must be <= 1, got {share:g}")
+    keep_alive = number(obj, "keep_alive_s", path, default=math.inf,
+                        minimum=0.0)
     outages = degrade = None
     if obj.get("outages") is not None:
-        outages, degrade = _outages(obj["outages"], f"{path}.outages")
+        outages, degrade = validate_outage_config(obj["outages"],
+                                                  f"{path}.outages")
         if not outages.enabled:
             outages = None
     return EndpointConfig(
         name=name,
-        memory_mb=_number(obj, "memory_mb", path, required=True,
+        memory_mb=number(obj, "memory_mb", path, required=True,
+                         minimum=0.0, strict=True),
+        batch_size=integer(obj, "batch_size", path, required=True, minimum=1),
+        timeout=number(obj, "timeout", path, required=True, minimum=0.0),
+        slo=number(obj, "slo", path, default=0.1, minimum=0.0, strict=True),
+        percentile=number(obj, "percentile", path, default=95.0,
                           minimum=0.0, strict=True),
-        batch_size=_integer(obj, "batch_size", path, required=True, minimum=1),
-        timeout=_number(obj, "timeout", path, required=True, minimum=0.0),
-        slo=_number(obj, "slo", path, default=0.1, minimum=0.0, strict=True),
-        percentile=_number(obj, "percentile", path, default=95.0,
-                           minimum=0.0, strict=True),
         share=share,
         chooser=chooser,
-        decision_interval_s=_number(obj, "decision_interval_s", path,
-                                    minimum=0.0, strict=True, nullable=True),
+        decision_interval_s=number(obj, "decision_interval_s", path,
+                                   minimum=0.0, strict=True, nullable=True),
         keep_alive_s=keep_alive,
-        max_containers=_integer(obj, "max_containers", path, minimum=1,
-                                nullable=True),
-        max_queued_batches=_integer(obj, "max_queued_batches", path,
-                                    minimum=0, nullable=True),
+        max_containers=integer(obj, "max_containers", path, minimum=1,
+                               nullable=True),
+        max_queued_batches=integer(obj, "max_queued_batches", path,
+                                   minimum=0, nullable=True),
         prewarm=(
             _prewarm(obj["prewarm"], f"{path}.prewarm")
             if obj.get("prewarm") is not None else None
         ),
         generation=(
-            _generation(obj["generation"], f"{path}.generation")
+            validate_generation_config(obj["generation"],
+                                       f"{path}.generation")
             if obj.get("generation") is not None else None
         ),
-        priority=_integer(obj, "priority", path, default=0),
+        priority=integer(obj, "priority", path, default=0),
         outages=outages,
         degrade=degrade,
     )
@@ -331,26 +269,26 @@ def _endpoint(obj, path: str) -> EndpointConfig:
 def validate_fleet_config(doc) -> FleetConfig:
     """Validate a parsed fleet document; raise :class:`FleetConfigError`."""
     if not isinstance(doc, dict):
-        _fail("fleet config", f"must be a JSON object, "
+        fail("fleet config", f"must be a JSON object, "
                               f"got {type(doc).__name__}")
-    _check_keys(doc, _TOP_KEYS, "fleet config")
+    check_keys(doc, _TOP_KEYS, "fleet config")
     raw_endpoints = doc.get("endpoints")
     if not isinstance(raw_endpoints, list) or not raw_endpoints:
-        _fail("endpoints", "is required and must be a non-empty array")
+        fail("endpoints", "is required and must be a non-empty array")
     endpoints = tuple(
         _endpoint(ep, f"endpoints[{i}]") for i, ep in enumerate(raw_endpoints)
     )
     names = [ep.name for ep in endpoints]
     dupes = sorted({n for n in names if names.count(n) > 1})
     if dupes:
-        _fail("endpoints", f"names must be unique; duplicated: {dupes}")
+        fail("endpoints", f"names must be unique; duplicated: {dupes}")
     percentile_out = [ep.name for ep in endpoints if ep.percentile > 100.0]
     if percentile_out:
-        _fail("endpoints", f"percentile must be <= 100 for: {percentile_out}")
+        fail("endpoints", f"percentile must be <= 100 for: {percentile_out}")
     shares = [ep.share for ep in endpoints]
     if any(s is not None for s in shares) and any(s is None for s in shares):
         missing = [ep.name for ep in endpoints if ep.share is None]
-        _fail("endpoints", f"either every endpoint has a share or none does; "
+        fail("endpoints", f"either every endpoint has a share or none does; "
                            f"missing on: {missing}")
 
     scheduler_interval = None
@@ -358,27 +296,23 @@ def validate_fleet_config(doc) -> FleetConfig:
     if "scheduler" in doc and doc["scheduler"] is not None:
         sched = doc["scheduler"]
         if not isinstance(sched, dict):
-            _fail("scheduler", f"must be an object, got {type(sched).__name__}")
-        _check_keys(sched, _SCHEDULER_KEYS, "scheduler")
-        scheduler_interval = _number(sched, "interval_s", "scheduler",
-                                     required=True, minimum=0.0, strict=True)
-        scheduler_min_history = _integer(sched, "min_history", "scheduler",
-                                         default=32, minimum=1)
+            fail("scheduler", f"must be an object, got {type(sched).__name__}")
+        check_keys(sched, _SCHEDULER_KEYS, "scheduler")
+        scheduler_interval = number(sched, "interval_s", "scheduler",
+                                    required=True, minimum=0.0, strict=True)
+        scheduler_min_history = integer(sched, "min_history", "scheduler",
+                                        default=32, minimum=1)
     brownout = failover = None
     if doc.get("degrade") is not None:
-        try:
-            brownout, failover = validate_fleet_degrade(doc["degrade"],
-                                                        "degrade")
-        except OutageConfigError as exc:
-            raise FleetConfigError(str(exc)) from exc
+        brownout, failover = validate_fleet_degrade(doc["degrade"], "degrade")
     return FleetConfig(
         endpoints=endpoints,
-        max_containers=_integer(doc, "max_containers", "fleet config",
-                                minimum=1, nullable=True),
+        max_containers=integer(doc, "max_containers", "fleet config",
+                               minimum=1, nullable=True),
         scheduler_interval_s=scheduler_interval,
         scheduler_min_history=scheduler_min_history,
-        split_seed=_integer(doc, "split_seed", "fleet config", default=0,
-                            minimum=0),
+        split_seed=integer(doc, "split_seed", "fleet config", default=0,
+                           minimum=0),
         brownout=brownout,
         failover=failover,
     )
@@ -391,13 +325,4 @@ def load_fleet_config(path: str | os.PathLike) -> FleetConfig:
     message on any problem — unreadable file, invalid JSON, or a schema
     violation.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FleetConfigError(f"cannot read {os.fspath(path)}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FleetConfigError(
-            f"{os.fspath(path)} is not valid JSON: {exc}"
-        ) from exc
-    return validate_fleet_config(doc)
+    return validate_fleet_config(load_json(path))

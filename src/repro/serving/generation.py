@@ -7,8 +7,8 @@ coefficients. The same object appears in two places:
 
 * ``repro serve --generation gen.json`` — the whole file is the object;
 * a fleet document's per-endpoint ``"generation": {...}`` entry
-  (:mod:`repro.serving.fleet_config` delegates here and re-labels the
-  error as a :class:`~repro.serving.fleet_config.FleetConfigError`).
+  (:mod:`repro.serving.fleet_config` delegates here; every serving config
+  error is one :class:`~repro.serving.schema.ConfigError`).
 
 Validation follows the fleet-config house style: every violation raises
 :class:`GenerationConfigError` naming the *path* of the offending field
@@ -37,12 +37,19 @@ Example::
 
 from __future__ import annotations
 
-import json
-import math
 import os
 
 from repro.serverless.generation import TokenLengthModel, TokenServiceProfile
 from repro.serving.config import GENERATION_DISPATCHERS, GenerationConfig
+from repro.serving.schema import (
+    ConfigError,
+    as_object,
+    check_keys,
+    fail,
+    integer,
+    load_json,
+    number,
+)
 
 __all__ = [
     "GenerationConfigError",
@@ -51,8 +58,9 @@ __all__ = [
 ]
 
 
-class GenerationConfigError(ValueError):
-    """A generation config failed validation; the message names the path."""
+#: Every serving config error is one :class:`ConfigError`; the name is
+#: kept for callers that catch generation-config errors.
+GenerationConfigError = ConfigError
 
 
 _GENERATION_KEYS = {
@@ -63,67 +71,19 @@ _LENGTH_KEYS = {"prompt_mean", "prompt_max", "output_mean", "output_max"}
 _PROFILE_KEYS = {"decode_time", "decode_exponent", "decode_memory_dampening"}
 
 
-def _fail(path: str, message: str) -> None:
-    raise GenerationConfigError(f"{path}: {message}")
-
-
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(path, f"unknown keys {unknown} (allowed: {sorted(allowed)})")
-
-
-def _number(obj: dict, key: str, path: str, default=None, *,
-            minimum: float | None = None, maximum: float | None = None,
-            strict: bool = False, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v!r}")
-    if minimum is not None:
-        if strict and not v > minimum:
-            _fail(f"{path}.{key}", f"must be > {minimum:g}, got {v:g}")
-        if not strict and not v >= minimum:
-            _fail(f"{path}.{key}", f"must be >= {minimum:g}, got {v:g}")
-    if maximum is not None and v > maximum:
-        _fail(f"{path}.{key}", f"must be <= {maximum:g}, got {v:g}")
-    return v
-
-
-def _integer(obj: dict, key: str, path: str, default=None, *,
-             minimum: int | None = None, nullable: bool = False):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if v is None and nullable:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    return v
-
-
 def _length_model(obj, path: str) -> TokenLengthModel:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
-    _check_keys(obj, _LENGTH_KEYS, path)
-    prompt_mean = _number(obj, "prompt_mean", path, default=128.0, minimum=1.0)
-    prompt_max = _integer(obj, "prompt_max", path, default=4096, minimum=1)
-    output_mean = _number(obj, "output_mean", path, default=16.0, minimum=1.0)
-    output_max = _integer(obj, "output_max", path, default=1024, minimum=1)
+    as_object(obj, path)
+    check_keys(obj, _LENGTH_KEYS, path)
+    prompt_mean = number(obj, "prompt_mean", path, default=128.0, minimum=1.0)
+    prompt_max = integer(obj, "prompt_max", path, default=4096, minimum=1)
+    output_mean = number(obj, "output_mean", path, default=16.0, minimum=1.0)
+    output_max = integer(obj, "output_max", path, default=1024, minimum=1)
     # Cross-field checks before construction: the dataclass raises its own
     # (pathless) ValueError for these, which would skip the path label.
     if prompt_mean > prompt_max:
-        _fail(f"{path}.prompt_mean", f"must be <= prompt_max ({prompt_max})")
+        fail(f"{path}.prompt_mean", f"must be <= prompt_max ({prompt_max})")
     if output_mean > output_max:
-        _fail(f"{path}.output_mean", f"must be <= output_max ({output_max})")
+        fail(f"{path}.output_mean", f"must be <= output_max ({output_max})")
     return TokenLengthModel(
         prompt_mean=prompt_mean, prompt_max=prompt_max,
         output_mean=output_mean, output_max=output_max,
@@ -131,16 +91,15 @@ def _length_model(obj, path: str) -> TokenLengthModel:
 
 
 def _profile(obj, path: str) -> TokenServiceProfile:
-    if not isinstance(obj, dict):
-        _fail(path, f"must be an object, got {type(obj).__name__}")
-    _check_keys(obj, _PROFILE_KEYS, path)
+    as_object(obj, path)
+    check_keys(obj, _PROFILE_KEYS, path)
     return TokenServiceProfile(
-        decode_time=_number(obj, "decode_time", path, default=0.002,
-                            minimum=0.0),
-        decode_exponent=_number(obj, "decode_exponent", path, default=0.5,
-                                minimum=0.0, maximum=1.0, strict=True),
-        decode_memory_dampening=_number(obj, "decode_memory_dampening", path,
-                                        default=0.5, minimum=0.0, maximum=1.0),
+        decode_time=number(obj, "decode_time", path, default=0.002,
+                           minimum=0.0),
+        decode_exponent=number(obj, "decode_exponent", path, default=0.5,
+                               minimum=0.0, maximum=1.0, strict=True),
+        decode_memory_dampening=number(obj, "decode_memory_dampening", path,
+                                       default=0.5, minimum=0.0, maximum=1.0),
     )
 
 
@@ -152,13 +111,13 @@ def validate_generation_config(doc, path: str = "generation") -> GenerationConfi
     passes ``endpoints[i].generation``).
     """
     if not isinstance(doc, dict):
-        _fail(path, f"must be a JSON object, got {type(doc).__name__}")
-    _check_keys(doc, _GENERATION_KEYS, path)
+        fail(path, f"must be a JSON object, got {type(doc).__name__}")
+    check_keys(doc, _GENERATION_KEYS, path)
     dispatcher = doc.get("dispatcher", "continuous")
     if dispatcher not in GENERATION_DISPATCHERS:
-        _fail(f"{path}.dispatcher",
-              f"must be one of {list(GENERATION_DISPATCHERS)}, "
-              f"got {dispatcher!r}")
+        fail(f"{path}.dispatcher",
+             f"must be one of {list(GENERATION_DISPATCHERS)}, "
+             f"got {dispatcher!r}")
     length_model = (
         _length_model(doc["length_model"], f"{path}.length_model")
         if doc.get("length_model") is not None else TokenLengthModel()
@@ -171,15 +130,15 @@ def validate_generation_config(doc, path: str = "generation") -> GenerationConfi
         token_profile=profile,
         length_model=length_model,
         dispatcher=dispatcher,
-        max_batch_tokens=_integer(doc, "max_batch_tokens", path, minimum=1,
-                                  nullable=True),
-        max_waiting=_integer(doc, "max_waiting", path, minimum=0,
-                             nullable=True),
-        ttft_slo=_number(doc, "ttft_slo", path, minimum=0.0, strict=True,
-                         nullable=True),
-        tpot_slo=_number(doc, "tpot_slo", path, minimum=0.0, strict=True,
-                         nullable=True),
-        seed=_integer(doc, "seed", path, default=0, minimum=0),
+        max_batch_tokens=integer(doc, "max_batch_tokens", path, minimum=1,
+                                 nullable=True),
+        max_waiting=integer(doc, "max_waiting", path, minimum=0,
+                            nullable=True),
+        ttft_slo=number(doc, "ttft_slo", path, minimum=0.0, strict=True,
+                        nullable=True),
+        tpot_slo=number(doc, "tpot_slo", path, minimum=0.0, strict=True,
+                        nullable=True),
+        seed=integer(doc, "seed", path, default=0, minimum=0),
     )
 
 
@@ -190,15 +149,4 @@ def load_generation_config(path: str | os.PathLike) -> GenerationConfig:
     path-qualified message on any problem — unreadable file, invalid
     JSON, or a schema violation.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise GenerationConfigError(
-            f"cannot read {os.fspath(path)}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise GenerationConfigError(
-            f"{os.fspath(path)} is not valid JSON: {exc}"
-        ) from exc
-    return validate_generation_config(doc)
+    return validate_generation_config(load_json(path))
