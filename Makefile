@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage bench-smoke bench bench-perf bench-serving lint
+.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving lint
 
 ## Tier-1: the fast unit/integration suite (excludes the `bench` marker).
 test:
@@ -42,6 +42,12 @@ test-gen:
 ## crashes, stragglers, cold-start backoff, hedging, brownout, failover.
 test-outage:
 	$(PYTEST) -q -m outage
+
+## Golden digests: sha256 over the engine's event trace, columns and
+## counters for a fixed seeded scenario matrix. A digest changes only by
+## a hand edit whose commit message says why.
+test-golden:
+	$(PYTEST) -q -m golden
 
 ## Quick benchmark sanity check: the §IV-F decision-time speedup table.
 ## First run trains the shared workbench models; later runs load the cache.

@@ -1,0 +1,79 @@
+"""Regressions found where serving features combine.
+
+Each feature is pinned on its own elsewhere; these tests run the
+combinations that broke and check the invariant that broke.
+"""
+
+import numpy as np
+import pytest
+
+from repro.batching.config import BatchConfig
+from repro.serverless.faults import FaultModel, RetryPolicy
+from repro.serverless.outages import OutageModel, StragglerModel
+from repro.serverless.platform import ServerlessPlatform
+from repro.serverless.generation import TokenLengthModel
+from repro.serving import (
+    DegradeConfig,
+    EndpointSpec,
+    FailoverConfig,
+    FleetEngine,
+    HedgeConfig,
+    ServingEngine,
+    WarmPoolConfig,
+)
+from repro.serving.config import GenerationConfig
+
+pytestmark = pytest.mark.serving
+
+CONFIG = BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05)
+
+
+@pytest.mark.faults
+@pytest.mark.outage
+@pytest.mark.parametrize("platform_seed", [1, 2])
+def test_winning_hedge_keeps_n_failed_equal_to_the_mask(platform_seed):
+    # A winning hedge clears the primary's fault verdict for its requests;
+    # n_failed must count the mask after that, not the verdicts before.
+    rng = np.random.default_rng(0)
+    ts = np.cumsum(rng.exponential(1.0 / 400.0, size=20_000))
+    engine = ServingEngine(
+        CONFIG,
+        platform=ServerlessPlatform(
+            seed=platform_seed, faults=FaultModel(failure_rate=0.3),
+            retry_policy=RetryPolicy(max_attempts=1),
+        ),
+        outages=OutageModel(straggler=StragglerModel(rate=0.3, slowdown=4.0),
+                            seed=1),
+        degrade=DegradeConfig(hedge=HedgeConfig(percentile=50.0,
+                                                multiplier=1.0,
+                                                min_observations=4)),
+    )
+    log = engine.run(ts)
+    assert log.hedge_wins > 0 and log.n_failed > 0
+    assert log.n_failed == int(log.failed.sum())
+    assert log.to_experiment_log(10.0).total_failed == log.n_failed
+
+
+@pytest.mark.fleet
+@pytest.mark.gen
+def test_token_timed_lane_fails_over_request_level_batches():
+    # A backed-up buffer-generation lane drains onto an idle same-tier
+    # lane. The failed-over batch is billed and timed at request level
+    # and its container goes back to the donor's pool.
+    gen = GenerationConfig(dispatcher="buffer",
+                           length_model=TokenLengthModel(output_mean=4.0))
+    pool = WarmPoolConfig(max_containers=1, max_queued_batches=50)
+    specs = [
+        EndpointSpec(name=name, config=BatchConfig(2048.0, 4, 0.01),
+                     pool=pool, generation=gen)
+        for name in ("busy", "idle")
+    ]
+    rng = np.random.default_rng(0)
+    traffic = {"busy": np.sort(rng.uniform(0, 5, 3000)),
+               "idle": np.sort(rng.uniform(0, 5, 50))}
+    log = FleetEngine(specs, failover=FailoverConfig(min_queue=1)).run(
+        traffic)
+    busy = log["busy"]
+    assert busy.failover_batches > 0
+    assert np.isfinite(busy.latencies[~busy.shed]).all()
+    assert busy.failed_over.sum() > 0
