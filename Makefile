@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving lint
+.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving bench-decide lint
 
 ## Tier-1: the fast unit/integration suite (excludes the `bench` marker).
 test:
@@ -68,6 +68,13 @@ bench-perf:
 ## BENCH_serving.json and enforces the >=3x events/sec floor.
 bench-serving:
 	$(PYTEST) -q -s -m perf benchmarks/test_perf_serving.py
+
+## One 12 s run of the perf benchmark's `decide` workload: the surrogate
+## forward and the optimizer search alone, the inner loop for nn/core perf
+## work. `make bench-decide TRACE=1` adds the per-layer metrics.
+TRACE ?= 0
+bench-decide:
+	$(PYTHON) benchmarks/perf/run.py --workload decide --seed 0 --seconds 12 --trace $(TRACE)
 
 ## Syntax check of every tree we ship (no third-party linter in the image).
 lint:

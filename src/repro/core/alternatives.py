@@ -23,8 +23,20 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.layers import FeedForward, Module
 from repro.nn.recurrent import GRU, LSTM
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import as_rng
+
+
+def _predict(self: Module, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Eval-mode, tape-free forward on raw arrays; one window is tiled
+    over a grid of feature rows. Shared as ``predict`` by both models."""
+    self.eval()
+    seq = np.atleast_2d(np.asarray(sequence, dtype=float))
+    feats = np.atleast_2d(np.asarray(features, dtype=float))
+    if seq.shape[0] == 1 and feats.shape[0] > 1:
+        seq = np.broadcast_to(seq, (feats.shape[0], seq.shape[1]))
+    with no_grad():
+        return self.forward(Tensor(seq), Tensor(feats)).data
 
 
 class RecurrentSurrogate(Module):
@@ -72,13 +84,7 @@ class RecurrentSurrogate(Module):
         e_2 = self.feat_embed(features)
         return self.head(F.concat([pooled, e_2], axis=-1))
 
-    def predict(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
-        self.eval()
-        seq = np.atleast_2d(np.asarray(sequence, dtype=float))
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
-        if seq.shape[0] == 1 and feats.shape[0] > 1:
-            seq = np.broadcast_to(seq, (feats.shape[0], seq.shape[1]))
-        return self.forward(Tensor(seq), Tensor(feats)).data
+    predict = _predict
 
 
 def summary_statistics(sequences: np.ndarray) -> np.ndarray:
@@ -124,10 +130,4 @@ class MLPSurrogate(Module):
         stats = Tensor(summary_statistics(sequence.data))
         return self.net(F.concat([stats, features], axis=-1))
 
-    def predict(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
-        self.eval()
-        seq = np.atleast_2d(np.asarray(sequence, dtype=float))
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
-        if seq.shape[0] == 1 and feats.shape[0] > 1:
-            seq = np.broadcast_to(seq, (feats.shape[0], seq.shape[1]))
-        return self.forward(Tensor(seq), Tensor(feats)).data
+    predict = _predict

@@ -24,7 +24,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import FeedForward, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import PositionalEncoding, TransformerEncoder
 from repro.utils.rng import as_rng
 
@@ -111,12 +111,13 @@ class DeepBATSurrogate(Module):
     # --------------------------------------------------------- conveniences
     def predict(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Eval-mode forward on raw arrays; returns a NumPy array."""
-        self.eval()
         seq = np.atleast_2d(np.asarray(sequence, dtype=float))
         feats = np.atleast_2d(np.asarray(features, dtype=float))
         if seq.shape[0] == 1 and feats.shape[0] > 1:
             return self.predict_grid(seq[0], feats)
-        return self.forward(Tensor(seq), Tensor(feats)).data
+        self.eval()
+        with no_grad():
+            return self.forward(Tensor(seq), Tensor(feats)).data
 
     def predict_grid(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
         """One window × many candidate configurations (§III-E fast path).
@@ -132,13 +133,14 @@ class DeepBATSurrogate(Module):
             raise ValueError(f"sequence must have length {self.seq_len}")
         feats = np.atleast_2d(np.asarray(features, dtype=float))
         n = feats.shape[0]
-        e_seq = self.seq_embed(Tensor(seq.reshape(1, self.seq_len, 1)))
-        e_trans = self.encoder(self.pos_enc(e_seq))
-        e_p = F.mean_pool(e_trans, axis=1)
-        e_1 = self.fusion_attn(e_p, e_p, e_p)  # (1, d_model)
-        e_1_grid = Tensor(np.broadcast_to(e_1.data, (n, self.d_model)).copy())
-        e_2 = self.feat_embed(Tensor(feats))
-        return self.head(F.concat([e_1_grid, e_2], axis=-1)).data
+        with no_grad():
+            e_seq = self.seq_embed(Tensor(seq.reshape(1, self.seq_len, 1)))
+            e_trans = self.encoder(self.pos_enc(e_seq))
+            e_p = F.mean_pool(e_trans, axis=1)
+            e_1 = self.fusion_attn(e_p, e_p, e_p)  # (1, d_model)
+            e_1_grid = Tensor(np.broadcast_to(e_1.data, (n, self.d_model)).copy())
+            e_2 = self.feat_embed(Tensor(feats))
+            return self.head(F.concat([e_1_grid, e_2], axis=-1)).data
 
     def attention_scores(self, sequence: np.ndarray) -> np.ndarray:
         """Aggregated encoder attention over the input positions (Fig. 14).
@@ -148,12 +150,14 @@ class DeepBATSurrogate(Module):
         over layers and heads, normalized to sum to 1.
         """
         self.eval()
-        seq = np.atleast_2d(np.asarray(sequence, dtype=float))
+        raw = np.asarray(sequence, dtype=float)
+        seq = np.atleast_2d(raw)
         batch = seq.shape[0]
-        e_seq = self.seq_embed(Tensor(seq.reshape(batch, -1, 1)))
-        self.encoder(self.pos_enc(e_seq))
+        with no_grad():
+            e_seq = self.seq_embed(Tensor(seq.reshape(batch, -1, 1)))
+            self.encoder(self.pos_enc(e_seq))
         maps = self.encoder.attention_maps()  # [(batch, heads, L, L)] per layer
         agg = np.mean([m.mean(axis=1) for m in maps], axis=0)  # (batch, L, L)
         received = agg.mean(axis=1)  # attention mass received per position
         received = received / received.sum(axis=-1, keepdims=True)
-        return received[0] if sequence.ndim == 1 else received
+        return received[0] if raw.ndim == 1 else received

@@ -19,7 +19,7 @@ from repro.core.surrogate import DeepBATSurrogate
 from repro.nn.data import ArrayDataset, DataLoader, train_val_split
 from repro.nn.losses import combined_loss, slo_violation_weights
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.telemetry.metrics import get_registry
 from repro.utils.rng import as_rng
 
@@ -192,8 +192,9 @@ def train_surrogate(
 def _validate(model: DeepBATSurrogate, val_set: ArrayDataset, cfg: TrainConfig) -> tuple[float, float]:
     model.eval()
     seq, feats, tgt = val_set[np.arange(len(val_set))]
-    pred = model(Tensor(seq), Tensor(feats))
-    loss = combined_loss(pred, Tensor(tgt), alpha=cfg.alpha, delta=cfg.huber_delta)
+    with no_grad():
+        pred = model(Tensor(seq), Tensor(feats))
+        loss = combined_loss(pred, Tensor(tgt), alpha=cfg.alpha, delta=cfg.huber_delta)
     mape = float(
         np.mean(np.abs(pred.data - tgt) / np.maximum(np.abs(tgt), 1e-8)) * 100.0
     )

@@ -29,7 +29,7 @@ from repro.nn.losses import (
 from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
 from repro.nn.recurrent import GRU, LSTM
 from repro.nn.serialization import load_state, save_state
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import (
     PositionalEncoding,
     TransformerEncoder,
@@ -67,6 +67,7 @@ __all__ = [
     "load_state",
     "mape_loss",
     "mse_loss",
+    "no_grad",
     "save_state",
     "scaled_dot_product_attention",
     "sinusoidal_positional_encoding",

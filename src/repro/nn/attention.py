@@ -1,15 +1,17 @@
 """Scaled dot-product and multi-head attention (Eq. 3–4 of the paper).
 
-The implementation follows Vaswani et al.; attention weights can be captured
-for the attention-score visualizations of Fig. 14 via
-``return_weights=True`` / :attr:`MultiHeadAttention.last_weights`.
+The implementation follows Vaswani et al. Scaled dot-product attention is
+one tape operation that works in a single score buffer (DESIGN.md §4). The
+attention weights of the most recent forward pass are kept on
+:attr:`MultiHeadAttention.last_weights` for the attention-score
+visualizations of Fig. 14.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import masked_fill, softmax
+from repro.nn.functional import _softmax_backward, _softmax_forward
 from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.tensor import Tensor
 from repro.utils.rng import as_rng
@@ -28,14 +30,34 @@ def scaled_dot_product_attention(
     Shapes: ``q``/``k``/``v`` are ``(..., seq, d)``; ``mask`` broadcasts over
     the score shape ``(..., seq_q, seq_k)`` with ``True`` meaning *blocked*.
 
-    Returns the attended values and the attention-weight tensor.
+    Returns the attended values and the attention-weight tensor. The
+    weights are detached (off the tape): gradients reach ``q``, ``k`` and
+    ``v`` through the attended values only. The forward scales, masks and
+    normalizes the scores in place, and the backward repeats the
+    arithmetic of the composed ``matmul → scale → mask → softmax →
+    matmul`` chain in the same order, so values and gradients are
+    bit-identical to it.
     """
-    d = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
+    qd, kd, vd = q.data, k.data, v.data
+    scale = 1.0 / np.sqrt(qd.shape[-1])
+    s = qd @ np.swapaxes(kd, -1, -2)
+    s *= scale
     if mask is not None:
-        scores = masked_fill(scores, mask, _NEG_INF)
-    weights = softmax(scores, axis=-1)
-    return weights @ v, weights
+        mask = np.asarray(mask, dtype=bool)
+        s = np.where(mask, _NEG_INF, s)
+    _softmax_forward(s, -1, out=s)
+
+    def backward(g: np.ndarray) -> None:
+        gs = g @ np.swapaxes(vd, -1, -2)
+        v._accumulate(np.swapaxes(s, -1, -2) @ g)
+        gs = _softmax_backward(s, gs, -1)
+        if mask is not None:
+            gs = np.where(mask, 0.0, gs)
+        gs = gs * scale
+        q._accumulate(gs @ kd)
+        k._accumulate(np.swapaxes(np.swapaxes(qd, -1, -2) @ gs, -1, -2))
+
+    return Tensor._from_op(s @ vd, (q, k, v), backward), Tensor(s)
 
 
 class MultiHeadAttention(Module):

@@ -14,19 +14,34 @@ import numpy as np
 from repro.nn.tensor import Tensor, _unbroadcast
 
 
+def _softmax_forward(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable softmax of ``x`` along ``axis``, written into ``out``.
+
+    With ``out=None`` one fresh array holds every step; ``out=x`` reuses
+    the caller's buffer (the fused attention op's score matrix).
+    """
+    s = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
+def _softmax_backward(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax vector-Jacobian product ``s * (g - (g * s).sum(axis))``."""
+    dot = (g * s).sum(axis=axis, keepdims=True)
+    return s * (g - dot)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` with a fused backward.
 
     The Jacobian-vector product is ``s * (g - (g * s).sum(axis))`` which
     avoids materializing the full Jacobian.
     """
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax_forward(x.data, axis)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        x._accumulate(s * (g - dot))
+        x._accumulate(_softmax_backward(s, g, axis))
 
     return Tensor._from_op(s, (x,), backward)
 

@@ -14,11 +14,35 @@ level).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 ArrayLike = "np.ndarray | float | int | list"
+
+#: False inside :func:`no_grad`: operations then record no tape.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run forward-only code without recording the gradient tape.
+
+    Inside the block every operation returns a plain result tensor
+    (``requires_grad=False``, no parents, no backward closure), even when
+    its inputs are parameters, so nothing is kept alive for a backward
+    pass that will never run. Values are the same as with the tape on.
+    The previous state is restored on exit, including exit by exception,
+    so blocks nest.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -115,9 +139,12 @@ class Tensor:
 
         ``backward`` receives the upstream gradient and must call
         :meth:`_accumulate` on each parent that requires a gradient.
+        Under :func:`no_grad` the result is returned off the tape.
         """
-        parents = tuple(parents)
         out = Tensor(data)
+        if not _grad_enabled:
+            return out
+        parents = tuple(parents)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents

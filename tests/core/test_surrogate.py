@@ -87,6 +87,14 @@ class TestPredictBroadcast:
         out = m.predict_grid(RNG.normal(size=16), RNG.normal(size=(7, 3)))
         assert out.shape == (7, 6)
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_one_module_walk_per_predict(self, monkeypatch, rows):
+        m = tiny()
+        walks = []
+        monkeypatch.setattr(m, "eval", lambda: walks.append(1))
+        m.predict(RNG.normal(size=(rows, 16)), RNG.normal(size=(4, 3)))
+        assert len(walks) == 1
+
     def test_predict_grid_validates_length(self):
         m = tiny()
         with pytest.raises(ValueError):
@@ -98,6 +106,16 @@ class TestGradients:
         m = tiny()
         out = m(Tensor(RNG.normal(size=(2, 16))), Tensor(RNG.normal(size=(2, 3))))
         (out * out).mean().backward()
+        for name, p in m.named_parameters():
+            assert p.grad is not None, f"no gradient for {name}"
+
+    def test_backward_after_predict_grid(self):
+        m = tiny()
+        m.predict_grid(RNG.normal(size=16), RNG.normal(size=(5, 3)))
+        m.train()
+        out = m(Tensor(RNG.normal(size=(2, 16))), Tensor(RNG.normal(size=(2, 3))))
+        assert out.requires_grad
+        out.sum().backward()
         for name, p in m.named_parameters():
             assert p.grad is not None, f"no gradient for {name}"
 
@@ -136,6 +154,13 @@ class TestAttentionScores:
         scores = m.attention_scores(RNG.exponential(size=(3, 16)))
         assert scores.shape == (3, 16)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(3))
+
+    def test_list_input(self):
+        m = tiny()
+        window = RNG.exponential(size=16)
+        np.testing.assert_array_equal(m.attention_scores(list(window)),
+                                      m.attention_scores(window))
+        assert m.attention_scores([1.0] * 16).shape == (16,)
 
     def test_num_parameters_scale(self):
         small = tiny(num_layers=1)

@@ -8,8 +8,12 @@ from repro.arrival.mmpp import mmpp2_with_burstiness
 from repro.batching.config import config_grid
 from repro.core.dataset import generate_dataset
 from repro.core.surrogate import DeepBATSurrogate
+from repro.nn.data import ArrayDataset
+from repro.nn.losses import combined_loss
+from repro.nn.tensor import Tensor
 from repro.core.training import (
     TrainConfig,
+    _validate,
     compute_gamma,
     fine_tune,
     train_surrogate,
@@ -77,6 +81,39 @@ class TestTrainSurrogate:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(val_fraction=1.5)
+
+    def test_epoch_bit_identical_to_composed_attention(self, monkeypatch):
+        import repro.nn.attention as attention
+        from tests.nn.test_attention import composed_attention
+
+        def one_epoch():
+            # head width 6: an inexact 1/sqrt(d) scale exposes step order
+            model = DeepBATSurrogate(seq_len=16, d_model=12, num_heads=2,
+                                     ff_hidden=16, num_layers=1, seed=0)
+            return train_surrogate(tiny_dataset(n=40), model=model,
+                                   config=TrainConfig(epochs=1, patience=None, seed=0))
+
+        fused = one_epoch()
+        monkeypatch.setattr(attention, "scaled_dot_product_attention", composed_attention)
+        ref = one_epoch()
+        assert fused.history == ref.history
+        want = ref.model.state_dict()
+        for name, value in fused.model.state_dict().items():
+            assert np.array_equal(value, want[name]), name
+
+    def test_validate_matches_taped_forward(self):
+        rng = np.random.default_rng(3)
+        val = ArrayDataset(rng.normal(size=(10, 16)), rng.normal(size=(10, 3)),
+                           rng.uniform(0.1, 1.0, size=(10, 6)))
+        model, cfg = tiny_model(), TrainConfig()
+        loss, mape = _validate(model, val, cfg)
+        seq, feats, tgt = val[np.arange(len(val))]
+        pred = model(Tensor(seq), Tensor(feats))
+        assert pred.requires_grad
+        want = combined_loss(pred, Tensor(tgt), alpha=cfg.alpha, delta=cfg.huber_delta)
+        assert loss == want.item()
+        assert mape == float(
+            np.mean(np.abs(pred.data - tgt) / np.maximum(np.abs(tgt), 1e-8)) * 100.0)
 
 
 class TestFineTune:

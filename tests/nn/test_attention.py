@@ -3,11 +3,22 @@
 import numpy as np
 import pytest
 
+import repro.nn.attention as attention
+from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
 from repro.nn.tensor import Tensor
 from tests.nn.gradcheck import assert_grad_matches
 
 RNG = np.random.default_rng(5)
+
+
+def composed_attention(q, k, v, mask=None):
+    """The unfused reference: one tape node per step of the chain."""
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = F.masked_fill(scores, mask, attention._NEG_INF)
+    weights = F.softmax(scores, axis=-1)
+    return weights @ v, weights
 
 
 class TestScaledDotProduct:
@@ -89,3 +100,53 @@ class TestMultiHeadAttention:
         xp = x[:, perm]
         out2 = mha(Tensor(xp), Tensor(xp), Tensor(xp)).data
         np.testing.assert_allclose(out1[:, perm], out2, atol=1e-10)
+
+
+class TestFusedMatchesComposed:
+    """The fused op is bit-identical to the composed chain, forward and
+    backward, through every mask shape MultiHeadAttention accepts. The head
+    width is 6, so the 1/√d scale is inexact and the order of the backward
+    steps shows in the low bits."""
+
+    BATCH, SEQ, EMBED = 3, 37, 24
+
+    def _run(self, monkeypatch, sdpa, x0, mask):
+        monkeypatch.setattr(attention, "scaled_dot_product_attention", sdpa)
+        mha = MultiHeadAttention(self.EMBED, 4, seed=2)
+        x = Tensor(x0, requires_grad=True)
+        out = mha(x, x, x, mask=mask)
+        (out * out).sum().backward()
+        grads = {name: p.grad for name, p in mha.named_parameters()}
+        return out.data, mha.last_weights, x.grad, grads
+
+    def _assert_identical(self, monkeypatch, x0, mask=None):
+        fused = self._run(monkeypatch, scaled_dot_product_attention, x0, mask)
+        ref = self._run(monkeypatch, composed_attention, x0, mask)
+        for got, want in zip(fused[:3], ref[:3]):
+            assert np.array_equal(got, want)
+        assert fused[3].keys() == ref[3].keys()
+        for name in ref[3]:
+            assert np.array_equal(fused[3][name], ref[3][name]), name
+
+    @pytest.mark.parametrize("mask_kind", [None, "seq", "3d", "padding"])
+    def test_sequence_masks(self, monkeypatch, mask_kind):
+        rng = np.random.default_rng(11)
+        b, n = self.BATCH, self.SEQ
+        x0 = rng.normal(size=(b, n, self.EMBED))
+        mask = {
+            None: None,
+            "seq": np.triu(np.ones((n, n), dtype=bool), k=1),
+            "3d": rng.random((b, n, n)) < 0.3,
+            "padding": np.arange(n)[None, :] >= np.array([n, n - 5, 20])[:, None],
+        }[mask_kind]
+        self._assert_identical(monkeypatch, x0, mask)
+
+    def test_singleton_sequence_fusion_call(self, monkeypatch):
+        x0 = np.random.default_rng(12).normal(size=(self.BATCH, self.EMBED))
+        self._assert_identical(monkeypatch, x0)
+
+    def test_weights_are_detached(self):
+        q = Tensor(RNG.normal(size=(2, 4, 8)), requires_grad=True)
+        out, w = scaled_dot_product_attention(q, q, q)
+        assert out.requires_grad
+        assert not w.requires_grad and w._parents == ()

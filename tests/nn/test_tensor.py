@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.nn.tensor import Tensor, _unbroadcast
+from repro.nn.layers import Parameter
+from repro.nn.tensor import Tensor, _unbroadcast, no_grad
 from tests.nn.gradcheck import assert_grad_matches
 
 RNG = np.random.default_rng(1234)
@@ -265,3 +266,37 @@ def test_add_commutes_and_grads_are_ones(a, b):
     out.sum().backward()
     np.testing.assert_allclose(ta.grad, np.ones_like(a))
     np.testing.assert_allclose(tb.grad, np.ones_like(b))
+
+
+class TestNoGrad:
+    def test_ops_on_parameters_stay_off_the_tape(self):
+        w = Parameter(RNG.normal(size=(3, 2)))
+        x = Tensor(RNG.normal(size=(4, 3)))
+        with no_grad():
+            y = (x @ w).relu().sum()
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        np.testing.assert_array_equal(y.data, np.maximum(x.data @ w.data, 0).sum())
+
+    def test_exported_from_package(self):
+        import repro.nn
+
+        assert repro.nn.no_grad is no_grad
+
+    def test_flag_restored_after_nesting(self):
+        w = Parameter([1.0, 2.0])
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (w * 2).requires_grad
+        assert (w * 2).requires_grad
+
+    def test_flag_restored_after_exception(self):
+        w = Parameter([1.0, 2.0])
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        y = (w * w).sum()
+        assert y.requires_grad
+        y.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
