@@ -142,7 +142,7 @@ class _ReferenceEngine(ServingEngine):
         ctx.cost_cache = _NoCache()
         while self._step(st, ctx):
             st.events_processed += 1
-        return self._finish(st)
+        return self._finish(st, ctx)
 
 
 class _ScanFleet(FleetEngine):

@@ -151,7 +151,8 @@ def assert_serving_logs_equal(
         "outage_denied", "crashed_containers", "crash_requeued",
         "straggler_batches", "cold_retries", "cold_retry_exhausted",
         "hedges", "hedge_wins", "hedge_denied", "hedge_cost",
-        "brownout_shed", "failover_batches",
+        "brownout_shed", "failover_batches", "queued_batches",
+        "decision_errors",
     )
     for name in scalar_fields:
         x, y = getattr(a, name), getattr(b, name)

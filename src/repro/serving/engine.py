@@ -66,6 +66,11 @@ latencies and circuit-breaks to a safe configuration when the learned
 controller's predictions go wrong at runtime. Both features are off by
 default, and when off every output is bit-identical to the pre-checkpoint
 build.
+
+Telemetry: counters are published once per run, from the finished
+:class:`ServingLog` (:meth:`ServingLog.publish`, called by ``_finish``).
+The loop itself records only what needs per-event data: histograms,
+structured events, and the ``checkpoint.*`` counters.
 """
 
 from __future__ import annotations
@@ -813,7 +818,7 @@ class ServingEngine:
             # its outputs are bit-identical — the checkpoint/chaos suites
             # pin that by comparing it against the stepwise path below.
             self._drive_fast(st, ctx)
-            return self._finish(st)
+            return self._finish(st, ctx)
         timers = ctx.timers
         if timers is NULL_TIMERS:
             timers = ctx.timers = stage_timers(f"{self.metrics_prefix}.perf")
@@ -831,7 +836,7 @@ class ServingEngine:
                     )
         finally:
             timers.flush()
-        return self._finish(st)
+        return self._finish(st, ctx)
 
     def _drive_fast(self, st: _RunState, ctx: _RunContext) -> None:
         """The uninstrumented hot loop: same events, same order, less work.
@@ -966,9 +971,6 @@ class ServingEngine:
         st.recent_ts.append(now)
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("arrival", now, i))
-        registry = ctx.registry
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.requests").inc()
         check_every = self.drift_config.check_every
         if self._gen_continuous:
             self._gen_arrival(st, ctx, now, i)
@@ -1193,20 +1195,10 @@ class ServingEngine:
                 payload = (container_id, i0, size, donor)
             self._push(st, completion, _P_COMPLETION, _K_COMPLETION, payload)
         registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            if not primary:
-                registry.counter(f"{prefix}.degrade.failover").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if cold else f"{prefix}.warm_starts"
-            ).inc()
-            if primary and crash_time is None:
-                registry.histogram(f"{prefix}.queue_delay").observe(
-                    start - batch.dispatch_time
-                )
-                if slowdown != 1.0:
-                    registry.counter(f"{prefix}.outage.straggler_batches").inc()
+        if registry.enabled and primary and crash_time is None:
+            registry.histogram(f"{self.metrics_prefix}.queue_delay").observe(
+                start - batch.dispatch_time
+            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, (
                 ("start", start, container_id, size, cold, memory_mb,
@@ -1224,13 +1216,6 @@ class ServingEngine:
         st.pool.kill(container_id)
         st.counters["crashed_containers"] += 1
         st.counters["crash_requeued"] += batch.size
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.outage.crashes").inc()
-            registry.counter(f"{prefix}.outage.crash_requeued").inc(
-                batch.size
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("crash", now, container_id, batch.size))
         self._dispatch(st, ctx, batch, now)
@@ -1247,10 +1232,6 @@ class ServingEngine:
             self._schedule_cold_retry(st, ctx, batch, now, attempt, sched)
             return
         st.counters["cold_retry_exhausted"] += 1
-        if ctx.registry.enabled:
-            ctx.registry.counter(
-                f"{self.metrics_prefix}.degrade.retry_exhausted"
-            ).inc()
         self._enqueue_or_shed(st, ctx, batch, now)
 
     def _schedule_cold_retry(self, st: _RunState, ctx: _RunContext,
@@ -1258,10 +1239,6 @@ class ServingEngine:
                              sched: tuple) -> None:
         """Count one cold-start retry and fire it ``sched[attempt]`` later."""
         st.counters["cold_retries"] += 1
-        if ctx.registry.enabled:
-            ctx.registry.counter(
-                f"{self.metrics_prefix}.degrade.cold_retries"
-            ).inc()
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("cold_retry", now, batch.size, attempt + 1))
         self._push(st, now + sched[attempt], _P_COLD_RETRY, _K_COLD_RETRY,
@@ -1282,14 +1259,9 @@ class ServingEngine:
         completion, batch = rec
         memory_mb = st.active.memory_mb
         lease = st.pool.acquire(now, memory_mb)
-        registry = ctx.registry
         if lease is None:
             # No capacity for speculation — the primary keeps running.
             st.counters["hedge_denied"] += 1
-            if registry.enabled:
-                registry.counter(
-                    f"{self.metrics_prefix}.degrade.hedge_denied"
-                ).inc()
             return
         size = batch.size
         service, cost = self._service_cost(
@@ -1314,17 +1286,6 @@ class ServingEngine:
         # its own finish time without re-touching any request slice.
         self._push(st, dup_completion, _P_COMPLETION, _K_COMPLETION,
                    (lease.container_id, i0, 0))
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.counter(f"{prefix}.degrade.hedges").inc()
-            registry.counter(f"{prefix}.degrade.hedge_cost").inc(cost)
-            if dup_completion < completion:
-                registry.counter(f"{prefix}.degrade.hedge_wins").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if lease.cold
-                else f"{prefix}.warm_starts"
-            ).inc()
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("hedge", now, container_id,
                                  lease.container_id, size))
@@ -1376,15 +1337,9 @@ class ServingEngine:
         registry = ctx.registry
         if registry.enabled:
             prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if cold else f"{prefix}.warm_starts"
-            ).inc()
             registry.histogram(f"{prefix}.queue_delay").observe(
                 start - batch.dispatch_time
             )
-            registry.counter(f"{prefix}.gen.requests").inc(size)
-            registry.counter(f"{prefix}.gen.tokens").inc(int(out.sum()))
             registry.histogram(f"{prefix}.ttft").observe_many(
                 st.ttft[i0:stop]
             )
@@ -1403,9 +1358,6 @@ class ServingEngine:
             prompt_tokens=int(st.prompt_tokens[i]),
             output_tokens=int(st.output_tokens[i]),
         )
-        registry = ctx.registry
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.gen.requests").inc()
         for sess in st.gen_sessions.values():
             if sess.can_accept(req):
                 st.gen_queue.append(req)
@@ -1420,10 +1372,8 @@ class ServingEngine:
                 # sheds the arrival; it counts against goodput as a miss.
                 st.shed[i] = True
                 st.counters["gen_shed"] += 1
-                if registry.enabled:
-                    registry.counter(f"{self.metrics_prefix}.shed_requests").inc()
-                    registry.counter(f"{self.metrics_prefix}.gen.shed").inc()
-                    registry.record_event(ShedEvent(
+                if ctx.registry.enabled:
+                    ctx.registry.record_event(ShedEvent(
                         time=now, requests=1,
                         queued_batches=len(st.gen_queue),
                     ))
@@ -1452,17 +1402,10 @@ class ServingEngine:
         st.gen_session_meta[cid] = (now, lease.cold, lease.cold_delay)
         st.counters["gen_sessions"] += 1
         registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.gen.sessions").inc()
-            registry.counter(f"{prefix}.gen.prefill_iterations").inc()
-            registry.counter(
-                f"{prefix}.cold_starts" if lease.cold else f"{prefix}.warm_starts"
-            ).inc()
-            if lease.cold:
-                registry.histogram(f"{prefix}.cold_delay").observe(
-                    lease.cold_delay
-                )
+        if registry.enabled and lease.cold:
+            registry.histogram(f"{self.metrics_prefix}.cold_delay").observe(
+                lease.cold_delay
+            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("gen_session", now, cid, lease.cold,
                                  sess.memory_mb))
@@ -1494,13 +1437,6 @@ class ServingEngine:
                 registry.histogram(f"{prefix}.latency").observe_many(
                     st.latencies[[r.index for r in res.finished]]
                 )
-                registry.counter(f"{prefix}.gen.tokens").inc(
-                    sum(r.output_tokens for r in res.finished)
-                )
-            if res.next_kind == "prefill":
-                registry.counter(f"{prefix}.gen.prefill_iterations").inc()
-            elif res.next_kind == "decode":
-                registry.counter(f"{prefix}.gen.decode_iterations").inc()
         if st.guardrail is not None and res.prefilled:
             ttfts = st.ttft[[r.index for r in res.prefilled]]
             for action, observed in st.guardrail.observe(ttfts, now,
@@ -1529,13 +1465,10 @@ class ServingEngine:
         st.counters["gen_prefill_iterations"] += sess.n_prefills
         st.counters["gen_decode_iterations"] += sess.n_decodes
         st.pool.release(cid, now)
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.batches").inc()
-            registry.histogram(f"{prefix}.gen.session_seconds").observe(
-                duration
-            )
+        if ctx.registry.enabled:
+            ctx.registry.histogram(
+                f"{self.metrics_prefix}.gen.session_seconds"
+            ).observe(duration)
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("gen_release", now, cid, sess.n_served))
 
@@ -1586,15 +1519,12 @@ class ServingEngine:
         """No capacity (and no retry budget left): queue, or shed at the
         queue cap. The tail of the historical ``_dispatch``, split out so
         the cold-retry path can fall back to it after exhaustion."""
-        registry = ctx.registry
         limit = self.pool_config.max_queued_batches
         if limit is not None and len(st.queue) >= limit:
             st.shed[batch.first_index:batch.first_index + batch.size] = True
             st.counters["shed_batches"] += 1
-            if registry.enabled:
-                registry.counter(f"{self.metrics_prefix}.shed_requests").inc(batch.size)
-                registry.counter(f"{self.metrics_prefix}.shed_batches").inc()
-                registry.record_event(ShedEvent(
+            if ctx.registry.enabled:
+                ctx.registry.record_event(ShedEvent(
                     time=now, requests=batch.size,
                     queued_batches=len(st.queue),
                 ))
@@ -1602,8 +1532,8 @@ class ServingEngine:
                 self._emit(st, ctx, ("shed", now, batch.size))
             return
         st.queue.append(batch)
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.queued_batches").inc()
+        # .get: snapshots written before this counter existed lack the key.
+        st.counters["queued_batches"] = st.counters.get("queued_batches", 0) + 1
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("queued", now, batch.size))
 
@@ -1673,7 +1603,6 @@ class ServingEngine:
         into a lane; ``_on_decision`` funnels chooser output through the
         same path so both produce identical event sequences.
         """
-        registry = ctx.registry
         record = ServingDecision(
             time=now,
             reason=reason,
@@ -1683,8 +1612,6 @@ class ServingEngine:
             predicted_p95=predicted_p95,
         )
         st.decisions.append(record)
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.decisions").inc()
         self._emit(st, ctx, ("decision", now, reason, str(config)))
         if config != st.target:
             st.target = config
@@ -1694,7 +1621,6 @@ class ServingEngine:
 
     def _on_decision(self, st: _RunState, ctx: _RunContext, now: float,
                      reason: str) -> None:
-        registry = ctx.registry
         if self.chooser is None:
             return
         suppressed = st.guardrail is not None and st.guardrail.state == OPEN
@@ -1704,8 +1630,6 @@ class ServingEngine:
             # and the learned controller does not get to reconfigure until
             # the half-open probe re-admits it.
             st.counters["guardrail_suppressed"] += 1
-            if registry.enabled:
-                registry.counter("guardrail.suppressed_decisions").inc()
             self._emit(st, ctx, ("decision_suppressed", now, reason))
         elif hist.size >= self.min_history:
             try:
@@ -1713,8 +1637,9 @@ class ServingEngine:
             except Exception:
                 # Live serving must survive a controller crash with no
                 # fallback decision; keep the active configuration.
-                if registry.enabled:
-                    registry.counter(f"{self.metrics_prefix}.decision_errors").inc()
+                st.counters["decision_errors"] = (
+                    st.counters.get("decision_errors", 0) + 1
+                )
                 self._emit(st, ctx, ("decision_error", now, reason))
                 decision = None
             if decision is not None:
@@ -1744,10 +1669,8 @@ class ServingEngine:
         st.counters["reconfigurations"] += 1
         st.pred_p95 = record.predicted_p95
         st.recent_latencies.clear()
-        registry = ctx.registry
-        if registry.enabled:
-            registry.counter(f"{self.metrics_prefix}.reconfigurations").inc()
-            registry.record_event(ReconfigureEvent(
+        if ctx.registry.enabled:
+            ctx.registry.record_event(ReconfigureEvent(
                 time=now, reason=reason,
                 memory_mb=st.active.memory_mb,
                 batch_size=st.active.batch_size, timeout=st.active.timeout,
@@ -1762,7 +1685,6 @@ class ServingEngine:
 
     def _on_guardrail_action(self, st: _RunState, ctx: _RunContext,
                              now: float, action: str, observed: float) -> None:
-        registry = ctx.registry
         guard = st.guardrail
         if action == "tripped":
             fallback = guard.fallback_config(st.active)
@@ -1789,9 +1711,8 @@ class ServingEngine:
         else:  # "restored"
             st.counters["guardrail_restores"] += 1
             event_config = st.active
-        if registry.enabled:
-            registry.counter(f"guardrail.{action}").inc()
-            registry.record_event(GuardrailEvent(
+        if ctx.registry.enabled:
+            ctx.registry.record_event(GuardrailEvent(
                 time=now, action=action, state=guard.state,
                 observed_p=float(observed), slo=self.slo,
                 memory_mb=event_config.memory_mb,
@@ -1820,7 +1741,6 @@ class ServingEngine:
                 st.counters["drift"] += 1
                 st.cooldown_until = now + dc.cooldown_s
                 if registry.enabled:
-                    registry.counter(f"{self.metrics_prefix}.drift_triggers").inc()
                     registry.record_event(DriftEvent(
                         time=now, detector="workload", score=score
                     ))
@@ -1843,9 +1763,6 @@ class ServingEngine:
                     st.counters["pred_drift"] += 1
                     st.cooldown_until = now + dc.cooldown_s
                     if registry.enabled:
-                        registry.counter(
-                            f"{self.metrics_prefix}.prediction_drift_triggers"
-                        ).inc()
                         registry.record_event(DriftEvent(
                             time=now, detector="prediction", score=error
                         ))
@@ -1870,8 +1787,6 @@ class ServingEngine:
             # drop the memoized service/cost values so later batches see it.
             ctx.service_cache.clear()
             ctx.cost_cache.clear()
-        if ctx.registry.enabled:
-            ctx.registry.counter(f"{self.metrics_prefix}.retrains").inc()
         self._emit(st, ctx, ("retrain", now))
 
     def _on_prewarm(self, st: _RunState, ctx: _RunContext, now: float,
@@ -1907,27 +1822,16 @@ class ServingEngine:
             idle=st.pool.warm_containers(now, tier),
         )
         provisioned = retired = 0
-        cost = 0.0
         if plan.provision:
             provisioned = st.pool.prewarm(now, tier, plan.provision)
             if provisioned:
                 # Each speculative container bills its cold start off the
                 # request path — the trade-off the telemetry surfaces.
-                cost = provisioned * float(
+                st.counters["prewarm_cost"] += provisioned * float(
                     self.platform.pricing.invocation_cost(tier, cold_delay)
                 )
-                st.counters["prewarm_cost"] += cost
         if plan.retire:
             retired = st.pool.retire_idle(now, tier, plan.retire)
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.counter(f"{prefix}.prewarm.ticks").inc()
-            if provisioned:
-                registry.counter(f"{prefix}.prewarm.provisioned").inc(provisioned)
-                registry.counter(f"{prefix}.prewarm.cost").inc(cost)
-            if retired:
-                registry.counter(f"{prefix}.prewarm.retired").inc(retired)
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("prewarm", now, round(plan.rate, 9),
                                  plan.target, provisioned, retired))
@@ -1935,11 +1839,14 @@ class ServingEngine:
             self._push(st, now + pw.interval_s, _P_PREWARM, _K_PREWARM, None)
 
     # ---------------------------------------------------------------- finish
-    def _finish(self, st: _RunState) -> ServingLog:
+    def _finish(self, st: _RunState, ctx: _RunContext) -> ServingLog:
+        """Build the log and, with telemetry on, publish its counters: a
+        crashed leg never gets here, so a restored run counts each event
+        once."""
         stats = st.pool.stats
         (b_dispatch, b_start, b_sizes, b_costs, b_cold, b_memory,
          b_retries) = st.batches.arrays()
-        return ServingLog(
+        log = ServingLog(
             name=st.name, trace=st.trace_name, slo=self.slo,
             arrival_times=st.ts,
             latencies=st.latencies,
@@ -1957,7 +1864,9 @@ class ServingEngine:
             drift_triggers=st.counters["drift"],
             prediction_drift_triggers=st.counters["pred_drift"],
             retrains=st.counters["retrains"],
+            decision_errors=st.counters.get("decision_errors", 0),
             shed_batches=st.counters["shed_batches"],
+            queued_batches=st.counters.get("queued_batches", 0),
             cold_starts=stats.cold_starts,
             warm_starts=stats.warm_starts,
             expired_containers=stats.expired,
@@ -2013,3 +1922,6 @@ class ServingEngine:
             hedged=getattr(st, "hedged", None),
             failed_over=getattr(st, "failed_over", None),
         )
+        if ctx.registry.enabled:
+            log.publish(ctx.registry, self.metrics_prefix)
+        return log

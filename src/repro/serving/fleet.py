@@ -528,8 +528,8 @@ class FleetEngine:
             ctx.timers.flush()
 
         logs = {
-            spec.name: eng._finish(st)
-            for spec, (eng, st, _ctx) in zip(self.endpoints, lanes)
+            spec.name: eng._finish(st, ctx)
+            for spec, (eng, st, ctx) in zip(self.endpoints, lanes)
         }
         return FleetLog(
             name=name, logs=logs, fleet_decisions=fleet_decisions,
@@ -690,21 +690,10 @@ class FleetEngine:
         """
         changed: set[int] = set()
         for lane, (eng, st, ctx) in enumerate(lanes):
-            while st.queue:
-                memory_mb = st.active.memory_mb
-                lease = st.pool.acquire(now, memory_mb)
-                if lease is None:
-                    break
-                batch = st.queue.popleft()
-                registry = ctx.registry
-                if registry.enabled and lease.cold:
-                    registry.histogram(
-                        f"{eng.metrics_prefix}.cold_delay"
-                    ).observe(lease.cold_delay)
-                eng._start_batch(
-                    st, ctx, batch, memory_mb, lease.cold_delay,
-                    lease.cold, lease.container_id, start=now,
-                )
+            # Pop only after the start: ``_start_batch`` never reads the
+            # queue, so peeking keeps the event order of pop-then-start.
+            while st.queue and eng._try_start(st, ctx, st.queue[0], now):
+                st.queue.popleft()
                 changed.add(lane)
         return changed
 
@@ -774,13 +763,8 @@ class FleetEngine:
             st.counters["brownout_shed"] = (
                 st.counters.get("brownout_shed", 0) + batch.size
             )
-            registry = ctx.registry
-            if registry.enabled:
-                prefix = eng.metrics_prefix
-                registry.counter(f"{prefix}.degrade.brownout_shed").inc(
-                    batch.size
-                )
-                registry.record_event(ShedEvent(
+            if ctx.registry.enabled:
+                ctx.registry.record_event(ShedEvent(
                     time=now, requests=batch.size,
                     queued_batches=len(st.queue),
                 ))

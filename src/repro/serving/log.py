@@ -146,7 +146,11 @@ class ServingLog:
     drift_triggers: int = 0
     prediction_drift_triggers: int = 0
     retrains: int = 0
+    #: Controller calls that raised; the active configuration was kept.
+    decision_errors: int = 0
     shed_batches: int = 0
+    #: Batches that waited in the admission queue for a container.
+    queued_batches: int = 0
     # Pool scorecard.
     cold_starts: int = 0
     warm_starts: int = 0
@@ -324,6 +328,64 @@ class ServingLog:
     @property
     def degraded_decisions(self) -> int:
         return sum(1 for d in self.decisions if d.degraded)
+
+    # -------------------------------------------------------------- telemetry
+    def publish(self, registry, prefix: str) -> None:
+        """Add this run's counters to ``registry`` under ``<prefix>.*``.
+
+        ``guardrail.*`` carries no prefix, so fleet lanes add up. Only
+        nonzero counters are created. ``batches``/``cold_starts``/
+        ``warm_starts`` count batch rows (hedges, crashed attempts and
+        failovers included), not the pool leases of :attr:`cold_starts`.
+        """
+        rows = int(self.batch_cold.size)
+        cold = int(self.batch_cold.sum())
+        decisions = sum(1 for d in self.decisions if d.reason != "guardrail")
+        table = (
+            (f"{prefix}.requests", self.n_requests),
+            (f"{prefix}.batches", rows),
+            (f"{prefix}.cold_starts", cold),
+            (f"{prefix}.warm_starts", rows - cold),
+            (f"{prefix}.queued_batches", self.queued_batches),
+            (f"{prefix}.shed_batches", self.shed_batches),
+            (f"{prefix}.shed_requests", self.n_shed - self.brownout_shed),
+            (f"{prefix}.decisions", decisions),
+            (f"{prefix}.decision_errors", self.decision_errors),
+            (f"{prefix}.reconfigurations", self.reconfigurations),
+            (f"{prefix}.drift_triggers", self.drift_triggers),
+            (f"{prefix}.prediction_drift_triggers",
+             self.prediction_drift_triggers),
+            (f"{prefix}.retrains", self.retrains),
+            (f"{prefix}.prewarm.ticks", self.prewarm_ticks),
+            (f"{prefix}.prewarm.provisioned", self.prewarmed_containers),
+            (f"{prefix}.prewarm.cost", self.prewarm_cost),
+            (f"{prefix}.prewarm.retired", self.prewarm_retired),
+            (f"{prefix}.gen.requests",
+             self.n_requests if self.is_generation else 0),
+            (f"{prefix}.gen.sessions", self.gen_sessions),
+            (f"{prefix}.gen.prefill_iterations", self.gen_prefill_iterations),
+            (f"{prefix}.gen.decode_iterations", self.gen_decode_iterations),
+            (f"{prefix}.gen.tokens", self.gen_tokens),
+            (f"{prefix}.gen.shed", self.gen_shed),
+            (f"{prefix}.outage.crashes", self.crashed_containers),
+            (f"{prefix}.outage.crash_requeued", self.crash_requeued),
+            (f"{prefix}.outage.straggler_batches", self.straggler_batches),
+            (f"{prefix}.degrade.cold_retries", self.cold_retries),
+            (f"{prefix}.degrade.retry_exhausted", self.cold_retry_exhausted),
+            (f"{prefix}.degrade.hedges", self.hedges),
+            (f"{prefix}.degrade.hedge_wins", self.hedge_wins),
+            (f"{prefix}.degrade.hedge_denied", self.hedge_denied),
+            (f"{prefix}.degrade.hedge_cost", self.hedge_cost),
+            (f"{prefix}.degrade.failover", self.failover_batches),
+            (f"{prefix}.degrade.brownout_shed", self.brownout_shed),
+            ("guardrail.tripped", self.guardrail_trips),
+            ("guardrail.probe", self.guardrail_probes),
+            ("guardrail.restored", self.guardrail_restores),
+            ("guardrail.suppressed_decisions", self.guardrail_suppressed),
+        )
+        for name, value in table:
+            if value:
+                registry.counter(name).inc(value)
 
     # ------------------------------------------------------------- conversion
     def to_experiment_log(

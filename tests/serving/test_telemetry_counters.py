@@ -1,0 +1,296 @@
+"""Telemetry counters agree with the ServingLog they describe.
+
+A run's counters are published once, from its finished
+:class:`~repro.serving.log.ServingLog` (:meth:`ServingLog.publish`). This
+file pins that contract three ways:
+
+* on every golden scenario, the registry's counters equal a table this
+  file computes from the returned log(s) — including the cases where
+  in-loop counting used to disagree with the log (straggler batches that
+  later crash, the buffer dispatcher's prefill/decode iterations, and
+  generation requests counted at start instead of at arrival);
+* a kill/restore drill counts every request once: crashed legs publish
+  nothing, the completed leg publishes the log;
+* an ``ast`` lint keeps data-plane ``.counter(...)`` calls out of
+  ``repro.serving``: only ``checkpoint.*``, ``fleet.scheduler_plans``
+  and the publish table itself may create counters.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.serverless.generation import TokenLengthModel
+from repro.serverless.platform import ServerlessPlatform
+from repro.serving import ServingEngine, WarmPoolConfig, run_with_crashes
+from repro.serving.config import GenerationConfig
+from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests.serving.test_golden_digests import (
+    CONFIG,
+    AlternatingChooser,
+    outage_engine,
+    poisson,
+    run_control_plane,
+    run_faults,
+    run_fleet,
+    run_gen_buffer,
+    run_gen_continuous,
+    run_outages,
+    run_plain,
+    run_plain_limited,
+    uniform,
+)
+
+pytestmark = pytest.mark.serving
+
+SERVING_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "serving"
+
+
+def registry_counters(registry) -> dict:
+    """The run's counters, minus the stage timers (wall-clock values) and
+    the checkpoint/fleet counters that stay in the loop."""
+    return {
+        r["name"]: r["value"] for r in registry.records()
+        if r["type"] == "counter" and ".perf." not in r["name"]
+        and not r["name"].startswith(("checkpoint.", "fleet."))
+    }
+
+
+def expected_counters(logs, prefixes) -> dict:
+    """Name -> value, computed from the logs; zero values are absent."""
+    table: dict = {}
+
+    def add(name, value):
+        if value:
+            table[name] = table.get(name, 0.0) + value
+
+    for log, prefix in zip(logs, prefixes):
+        rows = log.batch_cold.size
+        cold = int(np.count_nonzero(log.batch_cold))
+        per_lane = {
+            "requests": log.arrival_times.size,
+            "batches": rows,
+            "cold_starts": cold,
+            "warm_starts": rows - cold,
+            "queued_batches": log.queued_batches,
+            "shed_batches": log.shed_batches,
+            "shed_requests": int(log.shed.sum()) - log.brownout_shed,
+            "decisions": len(
+                [d for d in log.decisions if d.reason != "guardrail"]
+            ),
+            "decision_errors": log.decision_errors,
+            "reconfigurations": log.reconfigurations,
+            "drift_triggers": log.drift_triggers,
+            "prediction_drift_triggers": log.prediction_drift_triggers,
+            "retrains": log.retrains,
+            "prewarm.ticks": log.prewarm_ticks,
+            "prewarm.provisioned": log.prewarmed_containers,
+            "prewarm.cost": log.prewarm_cost,
+            "prewarm.retired": log.prewarm_retired,
+            "gen.requests": (
+                log.arrival_times.size if log.ttft is not None else 0
+            ),
+            "gen.sessions": log.gen_sessions,
+            "gen.prefill_iterations": log.gen_prefill_iterations,
+            "gen.decode_iterations": log.gen_decode_iterations,
+            "gen.tokens": log.gen_tokens,
+            "gen.shed": log.gen_shed,
+            "outage.crashes": log.crashed_containers,
+            "outage.crash_requeued": log.crash_requeued,
+            "outage.straggler_batches": log.straggler_batches,
+            "degrade.cold_retries": log.cold_retries,
+            "degrade.retry_exhausted": log.cold_retry_exhausted,
+            "degrade.hedges": log.hedges,
+            "degrade.hedge_wins": log.hedge_wins,
+            "degrade.hedge_denied": log.hedge_denied,
+            "degrade.hedge_cost": log.hedge_cost,
+            "degrade.failover": log.failover_batches,
+            "degrade.brownout_shed": log.brownout_shed,
+        }
+        for name, value in per_lane.items():
+            add(f"{prefix}.{name}", value)
+        # Unprefixed: a fleet's lanes add up into one set.
+        add("guardrail.tripped", log.guardrail_trips)
+        add("guardrail.probe", log.guardrail_probes)
+        add("guardrail.restored", log.guardrail_restores)
+        add("guardrail.suppressed_decisions", log.guardrail_suppressed)
+    return table
+
+
+def observed(run):
+    with use_registry(MetricsRegistry()) as registry:
+        result = run()
+    return result, registry_counters(registry)
+
+
+def run_gen_buffer_small_pool():
+    """Buffer dispatcher that sheds: started requests < arrivals."""
+    gen = GenerationConfig(dispatcher="buffer",
+                           length_model=TokenLengthModel(output_mean=8.0))
+    return ServingEngine(
+        CONFIG, platform=ServerlessPlatform(seed=6),
+        pool=WarmPoolConfig(max_containers=1, max_queued_batches=2),
+        generation=gen,
+    ).run(poisson(400.0, 1500, 6), name="gen-small-pool")
+
+
+SINGLE = {
+    "plain": run_plain,
+    "plain-limited": run_plain_limited,
+    "faults": run_faults,
+    "outages": run_outages,
+    "control-plane": run_control_plane,
+    "gen-buffer": run_gen_buffer,
+    "gen-continuous": run_gen_continuous,
+    "gen-buffer-small-pool": run_gen_buffer_small_pool,
+}
+
+
+class TestCountersMatchLog:
+    @pytest.mark.parametrize("scenario", sorted(SINGLE))
+    def test_single_engine(self, scenario):
+        log, counters = observed(SINGLE[scenario])
+        assert counters == expected_counters([log], ["serving"])
+
+    def test_fleet(self):
+        logs, counters = observed(run_fleet)
+        lanes = ["gold", "silver", "bronze", "tin"]
+        assert counters == expected_counters(
+            logs, [f"serving.{lane}" for lane in lanes]
+        )
+        # A lane's cold_starts counts the batch rows it billed (failed-over
+        # rows ran on a donor's container); ServingLog.cold_starts counts
+        # the leases of the lane's own pool.
+        gold = logs[0]
+        assert counters["serving.gold.cold_starts"] == 320
+        assert gold.cold_starts == 284
+
+    def test_straggler_batches_that_later_crash_are_counted(self):
+        log, counters = observed(run_outages)
+        assert log.straggler_batches == 45
+        assert counters["serving.outage.straggler_batches"] == 45
+
+    def test_buffer_dispatcher_publishes_iterations(self):
+        log, counters = observed(run_gen_buffer)
+        assert counters["serving.gen.prefill_iterations"] == 193
+        assert counters["serving.gen.decode_iterations"] == 3800
+        assert log.gen_prefill_iterations == 193
+
+    def test_generation_requests_count_arrivals(self):
+        log, counters = observed(run_gen_buffer_small_pool)
+        assert log.n_shed > 0
+        assert counters["serving.gen.requests"] == log.n_requests == 1500
+
+    def test_queued_batches_and_decision_errors(self):
+        class Failing(AlternatingChooser):
+            def choose(self, history, slo):
+                self.calls += 1
+                if self.calls % 2:
+                    raise RuntimeError("controller crashed")
+                return super().choose(history, slo)
+
+        def run():
+            return ServingEngine(
+                CONFIG, platform=ServerlessPlatform(seed=8),
+                chooser=Failing(), decision_interval_s=0.5, min_history=16,
+                pool=WarmPoolConfig(max_containers=2, max_queued_batches=6),
+            ).run(poisson(800.0, 1500, 8), record_trace=True)
+
+        log, counters = observed(run)
+        queued = sum(1 for e in log.event_trace if e[0] == "queued")
+        errors = sum(1 for e in log.event_trace if e[0] == "decision_error")
+        assert queued > 0 and errors > 0
+        assert log.queued_batches == queued
+        assert log.decision_errors == errors
+        assert counters["serving.queued_batches"] == queued
+        assert counters["serving.decision_errors"] == errors
+        # The fast loop (telemetry off) keeps the same log counts.
+        plain = run()
+        assert (plain.queued_batches, plain.decision_errors) == (queued,
+                                                                 errors)
+
+
+class TestCrashRestoreCountsOnce:
+    def test_each_request_counted_once(self, tmp_path):
+        def drill():
+            return run_with_crashes(
+                outage_engine, uniform(1, 400, 30.0), tmp_path / "c.ckpt",
+                n_crashes=3, seed=5, max_events=900,
+            )
+
+        (log, kills), counters = observed(drill)
+        assert kills == [21, 604, 724]
+        assert log.n_requests == 400 and log.batch_cold.size == 276
+        assert counters["serving.requests"] == 400
+        assert counters["serving.batches"] == 276
+        assert counters == expected_counters([log], ["serving"])
+        # Identical to the counters of a run that never crashed.
+        _log, uninterrupted = observed(
+            lambda: outage_engine().run(uniform(1, 400, 30.0))
+        )
+        assert counters == uninterrupted
+
+
+# -------------------------------------------------------------------- lint
+#: Counter names ``repro.serving`` may create outside the publish table.
+ALLOWED_PREFIXES = ("checkpoint.", "fleet.scheduler_plans")
+
+
+def counter_calls(path: Path):
+    """``(lineno, first-argument node, enclosing function)`` of every
+    ``<expr>.counter(...)`` call in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            name = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "counter"
+            ):
+                found.append((child.lineno,
+                              child.args[0] if child.args else None, func))
+            walk(child, name)
+
+    walk(tree, None)
+    return found
+
+
+class TestNoDataPlaneCounters:
+    def test_serving_creates_counters_only_at_publish(self):
+        offenders = []
+        for path in sorted(SERVING_DIR.glob("*.py")):
+            for lineno, arg, func in counter_calls(path):
+                if path.name == "log.py" and func == "publish":
+                    continue
+                if (
+                    isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)
+                    and arg.value.startswith(ALLOWED_PREFIXES)
+                ):
+                    continue
+                offenders.append(f"{path.name}:{lineno}")
+        assert not offenders, (
+            "counters belong in ServingLog.publish; in-loop .counter() "
+            f"calls found at {offenders}"
+        )
+
+    def test_lint_sees_a_data_plane_counter(self, tmp_path):
+        bad = tmp_path / "engine.py"
+        bad.write_text(
+            "def _on_arrival(self, ctx):\n"
+            "    ctx.registry.counter(f'{self.metrics_prefix}.requests')"
+            ".inc()\n"
+            "    ctx.registry.counter('checkpoint.snapshots').inc()\n"
+        )
+        calls = counter_calls(bad)
+        assert [(line, func) for line, _arg, func in calls] == [
+            (2, "_on_arrival"), (3, "_on_arrival"),
+        ]
+        assert not isinstance(calls[0][1], ast.Constant)
