@@ -159,17 +159,30 @@ class BatchingBuffer:
             arrival_times=np.array(self._pending_times[:count], dtype=float),
             dispatch_time=float(dispatch_time),
         )
-        del self._pending_idx[:count]
-        del self._pending_times[:count]
-        self._dispatched.append(batch)
         registry = get_registry()
         if registry.enabled:
-            waits = batch.waits()
-            registry.histogram("buffer.batch_size").observe(batch.size)
-            registry.histogram("buffer.wait").observe_many(waits)
+            # Pending arrivals are in order: the oldest waited longest.
             registry.record_event(DispatchEvent(
                 batch_size=batch.size,
                 dispatch_time=batch.dispatch_time,
-                max_wait=float(waits.max()) if batch.size else 0.0,
+                max_wait=(batch.dispatch_time - self._pending_times[0]
+                          if count else 0.0),
             ))
+        del self._pending_idx[:count]
+        del self._pending_times[:count]
+        self._dispatched.append(batch)
         return batch
+
+    def publish(self, registry) -> None:
+        """Add every batch dispatched so far to the ``buffer.batch_size``
+        and ``buffer.wait`` histograms. Call it once, when the stream is
+        done: the batches are kept, not drained."""
+        batches = self._dispatched
+        if not batches:
+            return
+        sizes = [batch.size for batch in batches]
+        registry.histogram("buffer.batch_size").observe_many(sizes)
+        registry.histogram("buffer.wait").observe_many(
+            np.repeat([batch.dispatch_time for batch in batches], sizes)
+            - np.concatenate([batch.arrival_times for batch in batches])
+        )

@@ -182,4 +182,5 @@ class DeepBATController:
                 batches.extend(buffer.flush(float(arrival_times[-1])))
         if registry.enabled:
             registry.counter("deepbat.served_requests").inc(arrival_times.size)
+            buffer.publish(registry)
         return batches, decisions

@@ -124,7 +124,7 @@ def assert_serving_logs_equal(
     array_fields = (
         "arrival_times", "latencies", "shed", "failed", "dispatch_times",
         "start_times", "batch_sizes", "batch_costs", "batch_cold",
-        "batch_memory", "batch_retries",
+        "batch_memory", "batch_retries", "batch_cold_delay", "batch_service",
     )
     for name in array_fields:
         x, y = getattr(a, name), getattr(b, name)

@@ -67,10 +67,13 @@ controller's predictions go wrong at runtime. Both features are off by
 default, and when off every output is bit-identical to the pre-checkpoint
 build.
 
-Telemetry: counters are published once per run, from the finished
-:class:`ServingLog` (:meth:`ServingLog.publish`, called by ``_finish``).
-The loop itself records only what needs per-event data: histograms,
-structured events, and the ``checkpoint.*`` counters.
+Telemetry: counters and histograms are published once per run, from the
+finished :class:`ServingLog` (:meth:`ServingLog.publish`) and the buffer's
+dispatched batches (:meth:`BatchingBuffer.publish`), both called by
+``_finish``. The loop itself records only the structured events that
+need a wall-clock stamp (dispatch, shed, reconfigure, guardrail, drift,
+checkpoint) and the ``checkpoint.*`` counters, so an enabled registry
+does not change which loop runs.
 """
 
 from __future__ import annotations
@@ -122,7 +125,6 @@ from repro.telemetry.events import (
     ShedEvent,
 )
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.timing import NULL_TIMERS, StageTimers, stage_timers
 from repro.utils.validation import check_sorted
 
 # Heap tie-break priorities: completions free containers before anything
@@ -225,9 +227,9 @@ class _RunState:
 class _RunContext:
     """Transient per-drive plumbing that must NOT be checkpointed:
     the live telemetry registry, the open journal handle, the snapshot
-    cadence, the chaos hook, the journal-replay expectation, the stage
-    timers, and the service/cost memo caches (pure-function caches — a
-    restore rebuilds them from scratch with identical values)."""
+    cadence, the chaos hook, the journal-replay expectation, and the
+    service/cost memo caches (pure-function caches — a restore rebuilds
+    them from scratch with identical values)."""
 
     registry: object
     journal: Journal | None = None
@@ -236,7 +238,6 @@ class _RunContext:
     crash_after: int | None = None
     replay_expect: list | None = None
     replay_pos: int = 0
-    timers: StageTimers = NULL_TIMERS
     #: ``(memory_mb, size) -> (ttft, tpot)`` of the generation timing.
     service_cache: dict = field(default_factory=dict)
     #: ``(memory_mb, size, cold_delay, slowdown) -> (service_time, cost)``.
@@ -806,40 +807,37 @@ class ServingEngine:
 
     # ------------------------------------------------------------ event loop
     def _drive(self, st: _RunState, ctx: _RunContext) -> ServingLog:
+        """Run to completion and build the log.
+
+        Only a journal, a snapshot cadence or the chaos hook needs event
+        boundaries, so only those runs take the stepwise loop; every other
+        run — telemetry on or off — takes :meth:`_drive_fast`. The two
+        loops process the same events in the same order and their outputs
+        are bit-identical; the fast-path, checkpoint and chaos suites pin
+        that by comparing them.
+        """
         if (
             ctx.journal is None
             and ctx.snapshot_path is None
             and ctx.crash_after is None
-            and not ctx.registry.enabled
         ):
-            # Nothing observes individual events: no journal entries, no
-            # snapshot cadence, no chaos hook, no per-event telemetry. The
-            # tight loop processes the same events in the same order and
-            # its outputs are bit-identical — the checkpoint/chaos suites
-            # pin that by comparing it against the stepwise path below.
             self._drive_fast(st, ctx)
             return self._finish(st, ctx)
-        timers = ctx.timers
-        if timers is NULL_TIMERS:
-            timers = ctx.timers = stage_timers(f"{self.metrics_prefix}.perf")
-        try:
-            while self._step(st, ctx):
-                st.events_processed += 1
-                if (
-                    ctx.snapshot_path is not None
-                    and st.events_processed % ctx.checkpoint_every == 0
-                ):
-                    self._write_snapshot(st, ctx)
-                if ctx.crash_after is not None and st.events_processed >= ctx.crash_after:
-                    raise SimulatedCrash(
-                        f"chaos hook: killed after {st.events_processed} events"
-                    )
-        finally:
-            timers.flush()
+        while self._step(st, ctx):
+            st.events_processed += 1
+            if (
+                ctx.snapshot_path is not None
+                and st.events_processed % ctx.checkpoint_every == 0
+            ):
+                self._write_snapshot(st, ctx)
+            if ctx.crash_after is not None and st.events_processed >= ctx.crash_after:
+                raise SimulatedCrash(
+                    f"chaos hook: killed after {st.events_processed} events"
+                )
         return self._finish(st, ctx)
 
     def _drive_fast(self, st: _RunState, ctx: _RunContext) -> None:
-        """The uninstrumented hot loop: same events, same order, less work.
+        """The hot loop: same events, same order, less work.
 
         Differences from driving :meth:`_step` in a loop — none of them
         observable in the outputs:
@@ -853,9 +851,11 @@ class ServingEngine:
         * the ``("arrival", ...)`` trace tuple is only built when a trace
           is being recorded.
 
-        Runs that checkpoint, journal, chaos-crash, or emit telemetry keep
-        the stepwise loop: snapshots cut at exact event boundaries and the
-        journal wants one entry per event.
+        Runs that checkpoint, journal or chaos-crash keep the stepwise
+        loop: snapshots cut at exact event boundaries and the journal wants
+        one entry per event. Telemetry does not: the handlers record the
+        same structured events under either loop, and everything else is
+        published from the finished run.
         """
         ts = st.ts.tolist()
         n = st.n
@@ -939,10 +939,9 @@ class ServingEngine:
     def _step(self, st: _RunState, ctx: _RunContext) -> bool:
         """Process exactly one event (arrival or heap pop); False when done.
 
-        This is the stepwise (checkpointable, instrumentable) path; plain
-        runs take :meth:`_drive_fast` instead. With ``ctx.timers`` enabled
-        every event is accumulated into a ``serving.perf.*`` stage named
-        after its kind — the disabled branch never touches the clock.
+        This is the stepwise path of journaled, checkpointed and chaos
+        runs, and the step the fleet merges its lanes with; every other
+        single-engine run takes :meth:`_drive_fast` instead.
         """
         if st.arrival_ptr >= st.n and not st.heap:
             return False
@@ -955,13 +954,7 @@ class ServingEngine:
         else:
             now, _priority, _seq, kind, payload = heappop(st.heap)
         st.clock = now
-        handler = self._handlers[kind]
-        timers = ctx.timers
-        if timers.enabled:
-            with timers.stage(kind):
-                handler(st, ctx, now, payload)
-        else:
-            handler(st, ctx, now, payload)
+        self._handlers[kind](st, ctx, now, payload)
         return True
 
     def _on_arrival(self, st: _RunState, ctx: _RunContext, now: float,
@@ -977,18 +970,8 @@ class ServingEngine:
             if self._drift_enabled and st.arrivals_seen % check_every == 0:
                 self._check_drift(st, ctx, now)
             return
-        released = st.buffer.observe(now)
-        if released:
-            timers = ctx.timers
-            if timers.enabled:
-                # Nested stage: dispatch time shows up inside "arrival"
-                # and on its own row.
-                with timers.stage("dispatch"):
-                    for batch in released:
-                        self._dispatch(st, ctx, batch, now)
-            else:
-                for batch in released:
-                    self._dispatch(st, ctx, batch, now)
+        for batch in st.buffer.observe(now):
+            self._dispatch(st, ctx, batch, now)
         self._arm_timer(st)
         if self._drift_enabled and st.arrivals_seen % check_every == 0:
             self._check_drift(st, ctx, now)
@@ -1157,12 +1140,12 @@ class ServingEngine:
                 memory_mb, crash_time - start
             ))
             st.batches.append(batch.dispatch_time, start, size, partial,
-                              cold, memory_mb, 0)
+                              cold, memory_mb, 0, cold_delay, np.nan)
             self._push(st, crash_time, _P_CRASH, _K_CRASH,
                        (container_id, batch))
         else:
             st.batches.append(batch.dispatch_time, start, size, cost, cold,
-                              memory_mb, retries)
+                              memory_mb, retries, cold_delay, service)
             if retries:
                 st.counters["n_retries"] += retries
             i0 = batch.first_index
@@ -1191,14 +1174,13 @@ class ServingEngine:
                 # Only a fleet with failover armed dispatches here, and it
                 # arms the lane before _init_state allocates these.
                 st.failed_over[i0:stop] = True
+                if st.ttft is not None:
+                    # Request-level timing on a token-timed lane is the
+                    # one-token case: the first token is the response.
+                    st.ttft[i0:stop] = st.latencies[i0:stop]
                 st.counters["failover_batches"] += 1
                 payload = (container_id, i0, size, donor)
             self._push(st, completion, _P_COMPLETION, _K_COMPLETION, payload)
-        registry = ctx.registry
-        if registry.enabled and primary and crash_time is None:
-            registry.histogram(f"{self.metrics_prefix}.queue_delay").observe(
-                start - batch.dispatch_time
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, (
                 ("start", start, container_id, size, cold, memory_mb,
@@ -1270,7 +1252,7 @@ class ServingEngine:
         )
         dup_completion = now + (lease.cold_delay + service)
         st.batches.append(batch.dispatch_time, now, size, cost, lease.cold,
-                          memory_mb, 0)
+                          memory_mb, 0, lease.cold_delay, service)
         st.counters["hedges"] += 1
         st.counters["hedge_cost"] += cost
         i0 = batch.first_index
@@ -1318,11 +1300,12 @@ class ServingEngine:
         stop = i0 + size
         out = st.output_tokens[i0:stop]
         max_out = int(out.max())
-        duration = cold_delay + ttft + (max_out - 1) * tpot
+        decode = (max_out - 1) * tpot
+        duration = cold_delay + ttft + decode
         completion = start + duration
         cost = float(self.platform.pricing.invocation_cost(memory_mb, duration))
         st.batches.append(batch.dispatch_time, start, size, cost, cold,
-                          memory_mb, 0)
+                          memory_mb, 0, cold_delay, ttft + decode)
         first_token = start + cold_delay + ttft
         st.ttft[i0:stop] = first_token - batch.arrival_times
         st.latencies[i0:stop] = (
@@ -1334,15 +1317,6 @@ class ServingEngine:
         st.counters["gen_tokens"] += int(out.sum())
         self._push(st, completion, _P_COMPLETION, _K_COMPLETION,
                    (container_id, i0, size))
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            registry.histogram(f"{prefix}.queue_delay").observe(
-                start - batch.dispatch_time
-            )
-            registry.histogram(f"{prefix}.ttft").observe_many(
-                st.ttft[i0:stop]
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("start", start, container_id, size, cold,
                                  memory_mb, completion))
@@ -1401,11 +1375,6 @@ class ServingEngine:
         st.gen_sessions[cid] = sess
         st.gen_session_meta[cid] = (now, lease.cold, lease.cold_delay)
         st.counters["gen_sessions"] += 1
-        registry = ctx.registry
-        if registry.enabled and lease.cold:
-            registry.histogram(f"{self.metrics_prefix}.cold_delay").observe(
-                lease.cold_delay
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("gen_session", now, cid, lease.cold,
                                  sess.memory_mb))
@@ -1426,17 +1395,6 @@ class ServingEngine:
                     (latency - st.ttft[req.index]) / (req.output_tokens - 1)
                 )
             st.counters["gen_tokens"] += req.output_tokens
-        registry = ctx.registry
-        if registry.enabled:
-            prefix = self.metrics_prefix
-            if res.prefilled:
-                registry.histogram(f"{prefix}.ttft").observe_many(
-                    st.ttft[[r.index for r in res.prefilled]]
-                )
-            if res.finished:
-                registry.histogram(f"{prefix}.latency").observe_many(
-                    st.latencies[[r.index for r in res.finished]]
-                )
         if st.guardrail is not None and res.prefilled:
             ttfts = st.ttft[[r.index for r in res.prefilled]]
             for action, observed in st.guardrail.observe(ttfts, now,
@@ -1452,7 +1410,7 @@ class ServingEngine:
                        now: float) -> None:
         """The session drained: bill the container hold, release it."""
         sess = st.gen_sessions.pop(cid)
-        start, cold, _cold_delay = st.gen_session_meta.pop(cid)
+        start, cold, cold_delay = st.gen_session_meta.pop(cid)
         duration = now - start
         cost = float(
             self.platform.pricing.invocation_cost(sess.memory_mb, duration)
@@ -1461,14 +1419,10 @@ class ServingEngine:
         # requests it served, one invocation fee — the continuous win the
         # cost model surfaces.
         st.batches.append(start, start, sess.n_served, cost, cold,
-                          sess.memory_mb, 0)
+                          sess.memory_mb, 0, cold_delay, duration - cold_delay)
         st.counters["gen_prefill_iterations"] += sess.n_prefills
         st.counters["gen_decode_iterations"] += sess.n_decodes
         st.pool.release(cid, now)
-        if ctx.registry.enabled:
-            ctx.registry.histogram(
-                f"{self.metrics_prefix}.gen.session_seconds"
-            ).observe(duration)
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("gen_release", now, cid, sess.n_served))
 
@@ -1480,11 +1434,6 @@ class ServingEngine:
         lease = st.pool.acquire(now, memory_mb)
         if lease is None:
             return False
-        registry = ctx.registry
-        if registry.enabled and lease.cold:
-            registry.histogram(f"{self.metrics_prefix}.cold_delay").observe(
-                lease.cold_delay
-            )
         self._start_batch(st, ctx, batch, memory_mb, lease.cold_delay,
                           lease.cold, lease.container_id, start=now)
         return True
@@ -1568,11 +1517,6 @@ class ServingEngine:
             self._donor_pools[foreign].release(container_id, now)
         if self._track_latencies:
             st.recent_latencies.extend(lat.tolist())
-        registry = ctx.registry
-        if registry.enabled:
-            registry.histogram(f"{self.metrics_prefix}.latency").observe_many(
-                lat
-            )
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("completion", now, container_id))
         if foreign is None and st.queue:
@@ -1840,12 +1784,12 @@ class ServingEngine:
 
     # ---------------------------------------------------------------- finish
     def _finish(self, st: _RunState, ctx: _RunContext) -> ServingLog:
-        """Build the log and, with telemetry on, publish its counters: a
-        crashed leg never gets here, so a restored run counts each event
-        once."""
+        """Build the log and, with telemetry on, publish its counters and
+        histograms and the buffer's: a crashed leg never gets here, so a
+        restored run counts each event once."""
         stats = st.pool.stats
         (b_dispatch, b_start, b_sizes, b_costs, b_cold, b_memory,
-         b_retries) = st.batches.arrays()
+         b_retries, b_cold_delay, b_service) = st.batches.arrays()
         log = ServingLog(
             name=st.name, trace=st.trace_name, slo=self.slo,
             arrival_times=st.ts,
@@ -1859,6 +1803,8 @@ class ServingEngine:
             batch_cold=b_cold,
             batch_memory=b_memory,
             batch_retries=b_retries,
+            batch_cold_delay=b_cold_delay,
+            batch_service=b_service,
             decisions=st.decisions,
             reconfigurations=st.counters["reconfigurations"],
             drift_triggers=st.counters["drift"],
@@ -1924,4 +1870,5 @@ class ServingEngine:
         )
         if ctx.registry.enabled:
             log.publish(ctx.registry, self.metrics_prefix)
+            st.buffer.publish(ctx.registry)
         return log

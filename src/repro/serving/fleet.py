@@ -62,7 +62,6 @@ from repro.serving.log import ServingLog
 from repro.serving.pool import WarmPool, WarmPoolConfig
 from repro.telemetry.events import ShedEvent
 from repro.telemetry.metrics import get_registry
-from repro.telemetry.timing import stage_timers
 from repro.utils.validation import check_sorted
 
 
@@ -503,10 +502,7 @@ class FleetEngine:
                 ts, name=f"{name}.{spec.name}", trace_name=trace_name,
                 history=history, record_trace=record_trace,
             )
-            ctx = _RunContext(
-                registry=registry,
-                timers=stage_timers(f"{eng.metrics_prefix}.perf"),
-            )
+            ctx = _RunContext(registry=registry)
             lanes.append((eng, st, ctx))
         if self.failover is not None:
             # Donor releases route through the owner lane's completion
@@ -524,8 +520,6 @@ class FleetEngine:
         )
         drive = self._drive_lanes_scan if self._scan_lanes else self._drive_lanes
         fleet_decisions = drive(lanes, budget, next_tick)
-        for _eng, _st, ctx in lanes:
-            ctx.timers.flush()
 
         logs = {
             spec.name: eng._finish(st, ctx)

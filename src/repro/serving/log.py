@@ -2,9 +2,10 @@
 
 A :class:`ServingLog` records one live run at two granularities: per request
 (arrival, latency, shed/failed flags) and per executed batch (dispatch,
-start, size, cost, cold/warm, memory tier), plus every decision the
-controller took and the runtime counters the offline harness cannot express
-(cold-start rate, shed requests, reconfigurations, drift triggers).
+start, size, cost, cold/warm, memory tier, cold delay, service time), plus
+every decision the controller took and the runtime counters the offline
+harness cannot express (cold-start rate, shed requests, reconfigurations,
+drift triggers).
 
 :meth:`ServingLog.to_experiment_log` re-bins the run into trace segments and
 returns a genuine :class:`~repro.evaluation.harness.ExperimentLog`, so the
@@ -33,14 +34,14 @@ class BatchColumns:
     """Chunked struct-of-arrays accumulator for the per-batch record.
 
     The serving engine appends one row per executed batch (dispatch, start,
-    size, cost, cold, memory, retries). Growing seven Python lists and
-    converting them with ``np.asarray`` at the end of a run boxes every
-    scalar twice; this accumulator writes straight into preallocated numpy
-    chunks of ``chunk_rows`` rows and concatenates the chunks once in
-    :meth:`arrays`. The object pickles (checkpoint snapshots carry it), and
-    :meth:`arrays` produces dtypes identical to the historical
-    ``np.asarray`` conversion, so :class:`ServingLog` contents are
-    bit-identical to the list-backed build.
+    size, cost, cold, memory, retries, cold delay, service). Growing nine
+    Python lists and converting them with ``np.asarray`` at the end of a
+    run boxes every scalar twice; this accumulator writes straight into
+    preallocated numpy chunks of ``chunk_rows`` rows and concatenates the
+    chunks once in :meth:`arrays`. The object pickles (checkpoint snapshots
+    carry it), and :meth:`arrays` produces dtypes identical to the
+    historical ``np.asarray`` conversion, so :class:`ServingLog` contents
+    are bit-identical to the list-backed build.
     """
 
     chunk_rows = 1024
@@ -59,18 +60,32 @@ class BatchColumns:
         self._cold = np.empty(rows, dtype=bool)
         self._memory = np.empty(rows)
         self._retries = np.empty(rows, dtype=int)
+        self._cold_delay = np.empty(rows)
+        self._service = np.empty(rows)
         self._fill = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # Snapshots written before the cold-delay/service columns existed
+        # hold seven columns; their rows get NaN (no value) in the new ones.
+        self.__dict__.update(state)
+        if "_service" not in state:
+            self._full = [chunk + (np.full(chunk[0].size, np.nan),) * 2
+                          for chunk in self._full]
+            self._cold_delay = np.full(self.chunk_rows, np.nan)
+            self._service = np.full(self.chunk_rows, np.nan)
 
     def _chunk(self, rows: int) -> tuple[np.ndarray, ...]:
         return (self._dispatch[:rows], self._start[:rows], self._size[:rows],
                 self._cost[:rows], self._cold[:rows], self._memory[:rows],
-                self._retries[:rows])
+                self._retries[:rows], self._cold_delay[:rows],
+                self._service[:rows])
 
     def __len__(self) -> int:
         return self._count
 
     def append(self, dispatch: float, start: float, size: int, cost: float,
-               cold: bool, memory: float, retries: int) -> None:
+               cold: bool, memory: float, retries: int, cold_delay: float,
+               service: float) -> None:
         i = self._fill
         if i == self.chunk_rows:
             self._full.append(self._chunk(self.chunk_rows))
@@ -83,22 +98,23 @@ class BatchColumns:
         self._cold[i] = cold
         self._memory[i] = memory
         self._retries[i] = retries
+        self._cold_delay[i] = cold_delay
+        self._service[i] = service
         self._fill = i + 1
         self._count += 1
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """``(dispatch, start, sizes, costs, cold, memory, retries)`` as
-        freshly-owned arrays (float, float, int, float, bool, float, int)."""
+        """``(dispatch, start, sizes, costs, cold, memory, retries,
+        cold_delay, service)`` as freshly-owned arrays (float, float, int,
+        float, bool, float, int, float, float)."""
         chunks = list(self._full)
         if self._fill:
             chunks.append(self._chunk(self._fill))
         if not chunks:
             return (np.empty(0), np.empty(0), np.empty(0, dtype=int),
                     np.empty(0), np.empty(0, dtype=bool), np.empty(0),
-                    np.empty(0, dtype=int))
-        return tuple(
-            np.concatenate([chunk[k] for chunk in chunks]) for k in range(7)
-        )
+                    np.empty(0, dtype=int), np.empty(0), np.empty(0))
+        return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 @dataclass
@@ -140,6 +156,13 @@ class ServingLog:
     batch_cold: np.ndarray
     batch_memory: np.ndarray
     batch_retries: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    #: The provisioning delay each row's container paid (0.0 when warm).
+    batch_cold_delay: np.ndarray = field(default_factory=lambda: np.empty(0))
+    #: The service time that followed the cold start, fault-retry delay
+    #: excluded: NaN for an attempt that crashed, a continuous session's
+    #: whole hold after its cold start. Rows restored from a snapshot
+    #: written before these two columns existed hold NaN in both.
+    batch_service: np.ndarray = field(default_factory=lambda: np.empty(0))
     # Control plane.
     decisions: list[ServingDecision] = field(default_factory=list)
     reconfigurations: int = 0
@@ -331,12 +354,19 @@ class ServingLog:
 
     # -------------------------------------------------------------- telemetry
     def publish(self, registry, prefix: str) -> None:
-        """Add this run's counters to ``registry`` under ``<prefix>.*``.
+        """Add this run's counters and histograms to ``registry`` under
+        ``<prefix>.*``.
 
         ``guardrail.*`` carries no prefix, so fleet lanes add up. Only
-        nonzero counters are created. ``batches``/``cold_starts``/
-        ``warm_starts`` count batch rows (hedges, crashed attempts and
-        failovers included), not the pool leases of :attr:`cold_starts`.
+        nonzero counters and non-empty histograms are created; NaN marks
+        "no value" (a shed request's latency, a crashed attempt's service)
+        and is skipped. ``batches``/``cold_starts``/``warm_starts`` count
+        batch rows (hedges, crashed attempts and failovers included), not
+        the pool leases of :attr:`cold_starts`; ``queue_delay`` and
+        ``cold_delay`` take one value per batch row and per cold batch row,
+        so their counts equal those two counters. A continuous run's rows
+        are its sessions: they publish ``gen.session_seconds`` instead of
+        ``queue_delay``.
         """
         rows = int(self.batch_cold.size)
         cold = int(self.batch_cold.sum())
@@ -386,6 +416,22 @@ class ServingLog:
         for name, value in table:
             if value:
                 registry.counter(name).inc(value)
+        sessions = self.gen_sessions > 0
+        histograms = (
+            (f"{prefix}.latency", self.latencies),
+            (f"{prefix}.ttft", self.ttft),
+            (f"{prefix}.queue_delay",
+             None if sessions else self.start_times - self.dispatch_times),
+            (f"{prefix}.cold_delay", self.batch_cold_delay[self.batch_cold]),
+            (f"{prefix}.gen.session_seconds",
+             self.batch_cold_delay + self.batch_service if sessions else None),
+        )
+        for name, values in histograms:
+            if values is None:
+                continue
+            values = values[~np.isnan(values)]
+            if values.size:
+                registry.histogram(name).observe_many(values)
 
     # ------------------------------------------------------------- conversion
     def to_experiment_log(

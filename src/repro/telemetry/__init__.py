@@ -1,10 +1,9 @@
 """Dependency-free observability for the serving loop.
 
-Five pieces: :mod:`~repro.telemetry.metrics` (counters, gauges, streaming
+Four pieces: :mod:`~repro.telemetry.metrics` (counters, gauges, streaming
 histograms, and the :class:`MetricsRegistry` sink), :mod:`~repro.telemetry.
-tracing` (nested wall-clock spans), :mod:`~repro.telemetry.timing`
-(aggregate per-stage timers for hot event loops), :mod:`~repro.telemetry.
-events` (structured decision/dispatch/violation/segment records), and
+tracing` (nested wall-clock spans), :mod:`~repro.telemetry.events`
+(structured decision/dispatch/violation/segment records), and
 :mod:`~repro.telemetry.export` (JSONL round-trip plus an ASCII dashboard).
 
 The default registry is a no-op, so the instrumentation wired through the
@@ -39,13 +38,6 @@ from repro.telemetry.metrics import (
     set_registry,
     use_registry,
 )
-from repro.telemetry.timing import (
-    NULL_TIMERS,
-    NullStageTimers,
-    Stage,
-    StageTimers,
-    stage_timers,
-)
 from repro.telemetry.tracing import NULL_SPAN, NullSpan, Span, SpanRecord
 
 __all__ = [
@@ -60,18 +52,14 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NULL_SPAN",
-    "NULL_TIMERS",
     "NullRegistry",
     "NullSpan",
-    "NullStageTimers",
     "ReconfigureEvent",
     "RetryEvent",
     "SegmentEvent",
     "ShedEvent",
     "Span",
     "SpanRecord",
-    "Stage",
-    "StageTimers",
     "TelemetryEvent",
     "ViolationEvent",
     "event_from_record",
@@ -79,7 +67,6 @@ __all__ = [
     "read_jsonl",
     "render_dashboard",
     "set_registry",
-    "stage_timers",
     "use_registry",
     "write_jsonl",
 ]

@@ -204,14 +204,6 @@ def render_dashboard(
             title="performance (simulation core)",
         ))
 
-    serving_perf = _serving_perf_rows(by_type)
-    if serving_perf:
-        sections.append(format_table(
-            ["loop", "stage", "events", "total s", "mean µs"],
-            serving_perf,
-            title="performance (serving)",
-        ))
-
     spans = by_type.get("span", [])
     if spans:
         agg = defaultdict(list)
@@ -396,8 +388,6 @@ def _prewarm_rows(by_type: dict) -> list[list]:
             per_scope["engine"][parts[2]] = value
         elif (len(parts) == 4 and parts[0] == "serving"
               and parts[2] == "prewarm" and parts[3] in metrics_known):
-            # The metric whitelist keeps the event-loop stage timers
-            # (serving.perf.prewarm.calls/seconds) out of this table.
             per_scope[parts[1]][parts[3]] = value
     return [
         [
@@ -567,31 +557,6 @@ def _performance_rows(by_type: dict) -> list[list]:
         rows.append([
             stage, int(label["count"]), int(labels),
             f"{total:.3f}", f"{labels / total:.1f}" if total > 0 else "-",
-        ])
-    return rows
-
-
-def _serving_perf_rows(by_type: dict) -> list[list]:
-    """Per-stage event-loop timings from the serving engine's
-    :class:`~repro.telemetry.timing.StageTimers` flush: one row per
-    ``<loop>.perf.<stage>`` with its ``.seconds``/``.calls`` counter pair
-    (``serving.perf.*`` for the single engine, ``serving.<endpoint>.perf.*``
-    per fleet lane). Rows appear only when an instrumented run flushed."""
-    counters = {c["name"]: c["value"] for c in by_type.get("counter", [])}
-    stages: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
-    for name, value in counters.items():
-        parts = name.split(".")
-        if len(parts) >= 4 and parts[-3] == "perf" and parts[-1] in (
-            "seconds", "calls"
-        ):
-            stages[(".".join(parts[:-3]), parts[-2])][parts[-1]] = value
-    rows = []
-    for (loop, stage), vals in sorted(stages.items()):
-        calls = vals.get("calls", 0)
-        total = vals.get("seconds", 0.0)
-        rows.append([
-            loop, stage, int(calls), f"{total:.4f}",
-            f"{total / calls * 1e6:.2f}" if calls else "-",
         ])
     return rows
 

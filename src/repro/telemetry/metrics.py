@@ -121,8 +121,9 @@ class Histogram:
             order = np.arange(seen + 1, seen + 1 + v.size, dtype=float)
             keep = self._rng.random(v.size) < (self._cap / order)
             slots = self._rng.integers(0, self._cap, size=int(keep.sum()))
-            for slot, value in zip(slots, v[keep]):
-                self._samples[int(slot)] = float(value)
+            samples = self._samples
+            for slot, value in zip(slots.tolist(), v[keep].tolist()):
+                samples[slot] = value
 
     @property
     def mean(self) -> float:

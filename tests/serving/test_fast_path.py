@@ -2,10 +2,12 @@
 
 The speed pass gave :meth:`ServingEngine._drive` a fast path (batched
 arrival runs, cached heap head, memoized service/cost) that is taken
-whenever no stepwise-only feature is active — no checkpointing, no crash
-hook, telemetry off. The stepwise loop remains the path for telemetry and
-crash-safe runs, so the two must stay interchangeable: same trace, same
-engine, same seed ⇒ identical :class:`ServingLog`, event trace included.
+whenever no stepwise-only feature is active — no journal, no
+checkpointing, no crash hook; telemetry does not count. The stepwise loop
+remains the path for crash-safe runs, so the two must stay
+interchangeable: same trace, same engine, same seed ⇒ identical
+:class:`ServingLog`, event trace included, and identical published
+telemetry.
 
 Also pins the hot-path micro-fixes: interned event kinds keep the engine's
 same-seed determinism, and the per-batch service/cost memo is invalidated
@@ -86,17 +88,31 @@ def assert_logs_identical(a, b):
         b.evicted_containers, b.n_retries, b.n_failed)
 
 
+def published(registry):
+    """Counter and histogram records, minus the stepwise loop's own
+    ``checkpoint.*`` counters."""
+    return [r for r in registry.records()
+            if r["type"] in ("counter", "histogram")
+            and not r["name"].startswith("checkpoint.")]
+
+
 class TestFastEqualsStepwise:
     @pytest.mark.parametrize("faults", [False, True])
-    def test_telemetry_run_matches_plain_run(self, faults):
-        # Telemetry off → fast path; telemetry on → stepwise (timed) loop.
+    def test_telemetry_run_matches_plain_run(self, faults, tmp_path):
+        # Telemetry on takes the fast loop too; a checkpoint_path forces
+        # the stepwise one. Both must serve and publish the same run.
         ts = trace()
-        fast = build_engine(seed=7, faults=faults).run(ts, record_trace=True)
-        with use_registry(MetricsRegistry()):
-            slow = build_engine(seed=7, faults=faults).run(
+        with use_registry(MetricsRegistry()) as fast_registry:
+            fast = build_engine(seed=7, faults=faults).run(
                 ts, record_trace=True
             )
+        with use_registry(MetricsRegistry()) as slow_registry:
+            slow = build_engine(seed=7, faults=faults).run(
+                ts, record_trace=True, checkpoint_path=tmp_path / "run.ckpt",
+            )
         assert_logs_identical(fast, slow)
+        assert (published(fast_registry) == published(slow_registry)
+                != [])
 
     def test_checkpointed_run_matches_plain_run(self, tmp_path):
         # A checkpoint_path forces the stepwise loop (snapshot cadence).

@@ -77,3 +77,30 @@ def test_token_timed_lane_fails_over_request_level_batches():
     assert busy.failover_batches > 0
     assert np.isfinite(busy.latencies[~busy.shed]).all()
     assert busy.failed_over.sum() > 0
+
+
+@pytest.mark.fleet
+@pytest.mark.gen
+def test_failed_over_batch_on_a_token_timed_lane_records_ttft():
+    # A failed-over batch takes request-level timing, the one-token case
+    # of generation timing: its TTFT is its latency, its TPOT stays NaN,
+    # so every served request counts in TTFT percentiles and attainment.
+    gen = GenerationConfig(dispatcher="buffer",
+                           length_model=TokenLengthModel(output_mean=4.0))
+    pool = WarmPoolConfig(max_containers=1, max_queued_batches=50)
+    specs = [
+        EndpointSpec(name=name, config=BatchConfig(2048.0, 4, 0.01),
+                     pool=pool, generation=gen)
+        for name in ("busy", "idle")
+    ]
+    rng = np.random.default_rng(0)
+    traffic = {"busy": np.sort(rng.uniform(0, 5, 3000)),
+               "idle": np.sort(rng.uniform(0, 5, 50))}
+    busy = FleetEngine(specs, failover=FailoverConfig(min_queue=1)).run(
+        traffic)["busy"]
+    moved = busy.failed_over
+    assert moved.sum() > 0
+    np.testing.assert_array_equal(busy.ttft[moved], busy.latencies[moved])
+    assert np.isnan(busy.tpot[moved]).all()
+    served = ~busy.shed
+    assert np.isfinite(busy.ttft[served]).all()

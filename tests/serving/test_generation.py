@@ -296,11 +296,12 @@ class TestContinuousDispatcher:
         assert log.batch_sizes.size == log.gen_sessions
         assert int(log.batch_sizes.sum()) == log.n_requests
 
-    def test_fast_path_matches_stepwise(self):
+    def test_fast_path_matches_stepwise(self, tmp_path):
         ts = poisson_trace(n=800)
         fast = build_engine(self.generation()).run(ts, name="fast")
-        with use_registry(MetricsRegistry()):  # forces the stepwise loop
-            slow = build_engine(self.generation()).run(ts, name="slow")
+        # A checkpoint_path forces the stepwise loop.
+        slow = build_engine(self.generation()).run(
+            ts, name="slow", checkpoint_path=tmp_path / "gen.ckpt")
         np.testing.assert_array_equal(fast.latencies, slow.latencies)
         np.testing.assert_array_equal(fast.ttft, slow.ttft)
         np.testing.assert_array_equal(fast.tpot, slow.tpot)

@@ -337,14 +337,14 @@ class TestEngineIntegration:
         assert a.prewarm_cost == 0.0
         assert not any(ev[0] == "prewarm" for ev in a.event_trace)
 
-    def test_fast_path_matches_stepwise_with_prewarm(self):
-        # Telemetry forces the stepwise loop; without it the fast path
-        # runs. Both must dispatch the prewarm ticks identically.
+    def test_fast_path_matches_stepwise_with_prewarm(self, tmp_path):
+        # A checkpoint_path forces the stepwise loop; without it the fast
+        # path runs. Both must dispatch the prewarm ticks identically.
         ts = poisson_trace(seed=8)
         cfg = self.prewarm_cfg(retire=True)
         fast = build_engine(prewarm=cfg).run(ts, record_trace=True)
-        with use_registry(MetricsRegistry()):
-            slow = build_engine(prewarm=cfg).run(ts, record_trace=True)
+        slow = build_engine(prewarm=cfg).run(
+            ts, record_trace=True, checkpoint_path=tmp_path / "pw.ckpt")
         assert_serving_logs_equal(fast, slow)
         assert fast.prewarm_ticks == slow.prewarm_ticks > 0
         assert any(ev[0] == "prewarm" for ev in fast.event_trace)

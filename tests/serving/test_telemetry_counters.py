@@ -10,10 +10,13 @@ file pins that contract three ways:
   later crash, the buffer dispatcher's prefill/decode iterations, and
   generation requests counted at start instead of at arrival);
 * a kill/restore drill counts every request once: crashed legs publish
-  nothing, the completed leg publishes the log;
+  nothing, the completed leg publishes the log — counters and histograms
+  alike;
 * an ``ast`` lint keeps data-plane ``.counter(...)`` calls out of
   ``repro.serving``: only ``checkpoint.*``, ``fleet.scheduler_plans``
-  and the publish table itself may create counters.
+  and the publish table itself may create counters; and it keeps
+  ``.histogram(...)`` calls out of ``repro.serving`` and the batching
+  buffer except in their ``publish`` functions.
 """
 
 import ast
@@ -24,7 +27,12 @@ import pytest
 
 from repro.serverless.generation import TokenLengthModel
 from repro.serverless.platform import ServerlessPlatform
-from repro.serving import ServingEngine, WarmPoolConfig, run_with_crashes
+from repro.serving import (
+    ServingEngine,
+    SimulatedCrash,
+    WarmPoolConfig,
+    run_with_crashes,
+)
 from repro.serving.config import GenerationConfig
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from tests.serving.test_golden_digests import (
@@ -45,17 +53,25 @@ from tests.serving.test_golden_digests import (
 
 pytestmark = pytest.mark.serving
 
-SERVING_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "serving"
+SRC_DIR = Path(__file__).resolve().parents[2] / "src" / "repro"
+SERVING_DIR = SRC_DIR / "serving"
+BUFFER_PATH = SRC_DIR / "batching" / "buffer.py"
 
 
 def registry_counters(registry) -> dict:
-    """The run's counters, minus the stage timers (wall-clock values) and
-    the checkpoint/fleet counters that stay in the loop."""
+    """The run's counters, minus the checkpoint/fleet counters that stay
+    in the loop."""
     return {
         r["name"]: r["value"] for r in registry.records()
-        if r["type"] == "counter" and ".perf." not in r["name"]
+        if r["type"] == "counter"
         and not r["name"].startswith(("checkpoint.", "fleet."))
     }
+
+
+def registry_histograms(registry) -> dict:
+    """Name -> the run's histogram record (count, sum, min, max, ...)."""
+    return {r["name"]: r for r in registry.records()
+            if r["type"] == "histogram"}
 
 
 def expected_counters(logs, prefixes) -> dict:
@@ -232,15 +248,77 @@ class TestCrashRestoreCountsOnce:
         )
         assert counters == uninterrupted
 
+    def test_histograms_counted_once(self, tmp_path):
+        # Kills at events 57 and 1677, then a clean finish. Each restore
+        # replays the events after its snapshot; the published histograms
+        # must still hold every request exactly once.
+        ts = poisson(300.0, 1500, 0)
+        ckpt = tmp_path / "h.ckpt"
+
+        def engine():
+            return ServingEngine(CONFIG, platform=ServerlessPlatform(seed=1))
+
+        with use_registry(MetricsRegistry()) as drilled:
+            with pytest.raises(SimulatedCrash):
+                engine().run(ts, checkpoint_path=ckpt, checkpoint_every=64,
+                             crash_after_events=57)
+            with pytest.raises(SimulatedCrash):
+                engine().restore(ckpt, crash_after_events=1677)
+            engine().restore(ckpt)
+        with use_registry(MetricsRegistry()) as plain:
+            engine().run(ts)
+        histograms = registry_histograms(drilled)
+        assert histograms["serving.latency"]["count"] == 1500
+        assert histograms["buffer.wait"]["count"] == 1500
+        assert histograms == registry_histograms(plain)
+
+
+class TestHistogramsMatchLog:
+    @pytest.mark.parametrize("scenario", sorted(SINGLE))
+    def test_counts_follow_the_log(self, scenario):
+        with use_registry(MetricsRegistry()) as registry:
+            log = SINGLE[scenario]()
+        counters = registry_counters(registry)
+        histograms = registry_histograms(registry)
+        expected = {
+            "serving.latency": np.count_nonzero(~np.isnan(log.latencies)),
+            "serving.cold_delay": counters.get("serving.cold_starts", 0),
+        }
+        if log.gen_sessions:
+            expected["serving.gen.session_seconds"] = log.gen_sessions
+        else:
+            # Every request passes the buffer once, in exactly one batch.
+            sizes = histograms.pop("buffer.batch_size")
+            assert sizes["sum"] == log.n_requests
+            expected["buffer.wait"] = log.n_requests
+            expected["serving.queue_delay"] = counters["serving.batches"]
+        if log.ttft is not None:
+            expected["serving.ttft"] = np.count_nonzero(~np.isnan(log.ttft))
+        counts = {name: r["count"] for name, r in histograms.items()}
+        assert counts == {k: v for k, v in expected.items() if v}
+
+    def test_values_come_from_the_batch_rows(self):
+        with use_registry(MetricsRegistry()) as registry:
+            log = run_outages()
+        histograms = registry_histograms(registry)
+        waits = log.start_times - log.dispatch_times
+        queue = histograms["serving.queue_delay"]
+        assert (queue["min"], queue["max"]) == (waits.min(), waits.max())
+        assert queue["sum"] == pytest.approx(waits.sum(), rel=1e-12)
+        # Crashed attempts have no service time; every other row does.
+        crashed = np.isnan(log.batch_service)
+        assert crashed.sum() == log.crashed_containers
+
 
 # -------------------------------------------------------------------- lint
 #: Counter names ``repro.serving`` may create outside the publish table.
 ALLOWED_PREFIXES = ("checkpoint.", "fleet.scheduler_plans")
 
 
-def counter_calls(path: Path):
+def counter_calls(path: Path, attr: str = "counter"):
     """``(lineno, first-argument node, enclosing function)`` of every
-    ``<expr>.counter(...)`` call in ``path``."""
+    ``<expr>.<attr>(...)`` call in ``path`` (``.counter(...)`` by
+    default)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
 
@@ -252,7 +330,7 @@ def counter_calls(path: Path):
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "counter"
+                and child.func.attr == attr
             ):
                 found.append((child.lineno,
                               child.args[0] if child.args else None, func))
@@ -280,6 +358,32 @@ class TestNoDataPlaneCounters:
             "counters belong in ServingLog.publish; in-loop .counter() "
             f"calls found at {offenders}"
         )
+
+    def test_serving_samples_histograms_only_at_publish(self):
+        offenders = [
+            f"{path.name}:{lineno}"
+            for path in [*sorted(SERVING_DIR.glob("*.py")), BUFFER_PATH]
+            for lineno, _arg, func in counter_calls(path, "histogram")
+            if not (path.name in ("log.py", "buffer.py")
+                    and func == "publish")
+        ]
+        assert not offenders, (
+            "histograms are published from the finished run; in-loop "
+            f".histogram() calls found at {offenders}"
+        )
+
+    def test_lint_sees_a_loop_histogram(self, tmp_path):
+        bad = tmp_path / "buffer.py"
+        bad.write_text(
+            "def _dispatch(self, registry):\n"
+            "    registry.histogram('buffer.wait').observe(0.0)\n"
+            "def publish(self, registry):\n"
+            "    registry.histogram('buffer.wait').observe(0.0)\n"
+        )
+        calls = counter_calls(bad, "histogram")
+        assert [(line, func) for line, _arg, func in calls] == [
+            (2, "_dispatch"), (4, "publish"),
+        ]
 
     def test_lint_sees_a_data_plane_counter(self, tmp_path):
         bad = tmp_path / "engine.py"

@@ -1,159 +1,84 @@
-"""Tests for the stage-timer layer (`repro.telemetry.timing`).
+"""The serving loop reads no clock and does no per-event metric work.
 
-Covers the accumulator semantics (nesting, re-entrancy, flush-to-counters),
-the disabled path's contract — :func:`stage_timers` hands out the shared
-:data:`NULL_TIMERS` and **no clock call is reachable** through the module
-while telemetry is off (pinned by poisoning ``perf_counter``) — and the
-dashboard's "performance (serving)" section fed by the flushed counters.
+Wall-clock attribution of the event loop is the perf benchmark's job (its
+tracer wraps the engine from outside); the engine's own counters and
+histograms are published once, from the finished run. This file pins both
+halves:
+
+* with telemetry off, a full serving run completes under a poisoned
+  ``time.perf_counter``;
+* with telemetry on, a plain run takes the fast loop (``_step`` never
+  runs) and creates no counter or histogram before ``_finish``;
+* an observed run publishes no wall-clock counters, so the dashboard has
+  no serving-performance section.
 """
 
-import numpy as np
-import pytest
+import time
 
+import numpy as np
+
+from repro.batching.config import BatchConfig
+from repro.serving import ServingEngine, WarmPoolConfig
 from repro.telemetry.export import render_dashboard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
-from repro.telemetry.timing import (
-    NULL_TIMERS,
-    NullStageTimers,
-    Stage,
-    StageTimers,
-    stage_timers,
-)
+
+CONFIG = BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05)
 
 
-class TestStage:
-    def test_accumulates_calls_and_total(self):
-        stage = Stage("work")
-        for _ in range(3):
-            with stage:
-                pass
-        assert stage.calls == 3
-        assert stage.total >= 0.0
-        assert stage.mean == stage.total / 3
-
-    def test_reentrant_nesting(self):
-        # A stage opened while already open keeps both spans (stacked
-        # starts), so recursive handlers never corrupt the accumulator.
-        stage = Stage("recurse")
-        with stage:
-            with stage:
-                pass
-        assert stage.calls == 2
-        assert len(stage._starts) == 0
-
-    def test_mean_of_idle_stage_is_zero(self):
-        assert Stage("idle").mean == 0.0
+def trace(seed, n):
+    return np.cumsum(np.random.default_rng(seed).exponential(1 / 200.0, n))
 
 
-class TestStageTimers:
-    def test_stage_is_get_or_create(self):
-        timers = StageTimers("loop", MetricsRegistry())
-        assert timers.stage("a") is timers.stage("a")
-        assert timers.stage("a") is not timers.stage("b")
-
-    def test_distinct_stages_accumulate_independently(self):
-        timers = StageTimers("loop", MetricsRegistry())
-        with timers.stage("arrival"):
-            with timers.stage("dispatch"):  # nested: both accumulate
-                pass
-        assert timers.stage("arrival").calls == 1
-        assert timers.stage("dispatch").calls == 1
-        assert timers.stage("arrival").total >= timers.stage("dispatch").total
-
-    def test_flush_writes_counters_and_resets(self):
-        reg = MetricsRegistry()
-        timers = StageTimers("serving.perf", reg)
-        with timers.stage("arrival"):
-            pass
-        timers.flush()
-        assert reg.counter("serving.perf.arrival.calls").value == 1
-        seconds = reg.counter("serving.perf.arrival.seconds").value
-        assert seconds >= 0.0
-        # Reset on flush: a second flush adds nothing.
-        timers.flush()
-        assert reg.counter("serving.perf.arrival.calls").value == 1
-        assert reg.counter("serving.perf.arrival.seconds").value == seconds
-
-    def test_flush_skips_idle_stages(self):
-        reg = MetricsRegistry()
-        timers = StageTimers("p", reg)
-        timers.stage("never")
-        timers.flush()
-        assert "p.never.calls" not in reg._counters
-
-    def test_empty_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            StageTimers("", MetricsRegistry())
+def engine():
+    return ServingEngine(
+        CONFIG, pool=WarmPoolConfig(keep_alive_s=2.0, max_containers=4),
+    )
 
 
 class TestDisabledPath:
-    def test_factory_returns_null_singleton_when_disabled(self):
-        # The ambient registry is the disabled no-op default in tests.
-        assert stage_timers("serving.perf") is NULL_TIMERS
-        assert NULL_TIMERS.enabled is False
-
-    def test_factory_returns_live_timers_when_enabled(self):
-        with use_registry(MetricsRegistry()):
-            timers = stage_timers("serving.perf")
-        assert isinstance(timers, StageTimers)
-        assert not isinstance(timers, NullStageTimers)
-        assert timers.enabled
-
-    def test_null_timers_never_touch_the_clock(self, monkeypatch):
-        import repro.telemetry.timing as timing
-
-        def poisoned():
-            raise AssertionError("clock read on the disabled path")
-
-        monkeypatch.setattr(timing, "perf_counter", poisoned)
-        timers = stage_timers("serving.perf")
-        with timers.stage("arrival"):
-            with timers.stage("dispatch"):
-                pass
-        timers.flush()
-        assert timers.stages() == {}
-
     def test_disabled_serving_run_never_touches_the_clock(self, monkeypatch):
-        # The lint this satellite asks for: with telemetry off, a full
-        # serving run must complete with a poisoned perf_counter — i.e.
-        # no timer call is reachable anywhere in the hot loop.
-        import repro.telemetry.timing as timing
-        from repro.batching.config import BatchConfig
-        from repro.serving import ServingEngine, WarmPoolConfig
-
+        # With telemetry off, a full serving run must complete with a
+        # poisoned perf_counter: no clock read is reachable in the loop.
         def poisoned():
             raise AssertionError("clock read in an untimed serving run")
 
-        monkeypatch.setattr(timing, "perf_counter", poisoned)
-        ts = np.cumsum(
-            np.random.default_rng(0).exponential(1 / 200.0, size=1000)
-        )
-        log = ServingEngine(
-            BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05),
-            pool=WarmPoolConfig(keep_alive_s=2.0, max_containers=4),
-        ).run(ts)
+        monkeypatch.setattr(time, "perf_counter", poisoned)
+        log = engine().run(trace(0, 1000))
         assert log.n_requests == 1000
 
 
+class TestEnabledPath:
+    def test_enabled_serving_run_takes_the_fast_loop(self, monkeypatch):
+        # The counterpart with a registry on: the run never steps event by
+        # event, and nothing is counted or sampled until the run is done.
+        def no_step(self, st, ctx):
+            raise AssertionError("an observed plain run took the stepwise loop")
+
+        seen = []
+        finish = ServingEngine._finish
+
+        def checked_finish(self, st, ctx):
+            seen.append([r["name"] for r in ctx.registry.records()
+                         if r["type"] in ("counter", "histogram")])
+            return finish(self, st, ctx)
+
+        monkeypatch.setattr(ServingEngine, "_step", no_step)
+        monkeypatch.setattr(ServingEngine, "_finish", checked_finish)
+        with use_registry(MetricsRegistry()) as registry:
+            log = engine().run(trace(0, 1000))
+        assert seen == [[]]
+        histograms = {r["name"]: r for r in registry.records()
+                      if r["type"] == "histogram"}
+        assert histograms["serving.latency"]["count"] == log.n_served
+        assert histograms["buffer.wait"]["count"] == log.n_requests
+
+
 class TestDashboardSection:
-    def test_serving_run_renders_performance_section(self):
-        from repro.batching.config import BatchConfig
-        from repro.serving import ServingEngine
-
-        ts = np.cumsum(
-            np.random.default_rng(1).exponential(1 / 200.0, size=800)
-        )
-        reg = MetricsRegistry()
-        with use_registry(reg):
-            ServingEngine(
-                BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05)
-            ).run(ts)
-        text = render_dashboard(reg)
-        assert "performance (serving)" in text
-        assert "arrival" in text
-        assert "completion" in text
-
     def test_no_perf_counters_no_section(self):
         reg = MetricsRegistry()
-        reg.counter("serving.requests").inc()
-        assert "performance (serving)" not in render_dashboard(reg)
+        with use_registry(reg):
+            engine().run(trace(1, 800))
+        assert not [r for r in reg.records() if ".perf." in r.get("name", "")]
+        text = render_dashboard(reg)
+        assert "serving" in text
+        assert "performance (serving)" not in text
