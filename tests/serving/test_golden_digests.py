@@ -125,6 +125,18 @@ def digest(*logs) -> str:
     return h.hexdigest()
 
 
+def fleet_digest(fleet_log) -> str:
+    """:func:`digest` over every lane in spec order, plus the per-row cold
+    delay and service columns and the fleet's applied scheduler plans."""
+    h = hashlib.sha256()
+    for name in fleet_log.endpoints:
+        log = fleet_log[name]
+        update_log(h, log)
+        h.update(log.batch_cold_delay.tobytes() + log.batch_service.tobytes())
+    h.update(f"fleet_decisions={canon(fleet_log.fleet_decisions)};".encode())
+    return h.hexdigest()
+
+
 # --------------------------------------------------------------- scenarios
 def poisson(lam, n, seed):
     rng = np.random.default_rng(seed)
