@@ -58,14 +58,14 @@ bench-smoke:
 bench:
 	$(PYTEST) -q benchmarks
 
-## All perf microbenchmarks: refreshes BENCH_simcore.json and
-## BENCH_serving.json, and enforces their speedup floors.
+## All perf floors: the simulation core's speedups (grid sweep >= 3x,
+## batched labeling <= 1.5x serial) and the serving loop's overheads;
+## each test prints its measurements as one JSON line.
 bench-perf:
 	$(PYTEST) -q -s -m perf benchmarks/test_perf_simcore.py benchmarks/test_perf_serving.py
 
-## Serving-loop microbenchmarks only: engine fast path vs the stepwise
-## reference, warm-pool churn, fleet lane-key heap vs scan. Refreshes
-## BENCH_serving.json and enforces the >=3x events/sec floor.
+## Serving-loop floors only: prewarm overhead <= 50%, generation event
+## rate >= 0.15x the request-level engine, disabled outage layer <= 10%.
 bench-serving:
 	$(PYTEST) -q -s -m perf benchmarks/test_perf_serving.py
 

@@ -1,46 +1,30 @@
-"""Microbenchmarks of the live serving loop → ``BENCH_serving.json``.
+"""Overhead floors of the live serving loop.
 
-Three measurements anchor the serving-side speed pass (PR 7), plus a
-prewarm-overhead guard (PR 8) and a continuous-batching guard (PR 9):
+Three guards, each a ratio of two runs of the current engine on the same
+arrivals (60k Poisson arrivals through a finite keep-alive pool):
 
-* **Engine** — the reference trace (60k Poisson arrivals through a finite
-  keep-alive pool) on the optimized engine (fast drive loop, heap pool,
-  memoized service/cost, chunked batch columns) vs the pre-speed-pass
-  behaviour (stepwise loop, linear-scan :class:`ReferenceWarmPool`, no
-  memoization). Acceptance bar: **≥ 3× events/sec**, outputs bit-identical.
-* **Pool** — raw acquire/release churn on the heap-backed
-  :class:`WarmPool` vs the linear-scan reference, identical op sequences,
-  identical leases/stats asserted first.
-* **Fleet** — an 8-endpoint fleet on the lane-key-heap loop
-  (``FleetEngine._drive_lanes``) vs the scan-every-lane specification
-  (``_drive_lanes_scan``), logs bit-identical.
-* **Prewarm** — the same reference trace with the predictive prewarmer
-  ticking at 4 Hz vs prewarm-off. Acceptance bar: **≤ 50% overhead** —
-  the forecaster and pool provisioning must not give back the speed pass.
+* **Prewarm** — the predictive prewarmer ticking at 4 Hz vs prewarm-off.
+  Acceptance bar: **≤ 50% overhead**; the forecaster and pool
+  provisioning must stay a fraction of the baseline.
 * **Generation** — continuous batching (token-streaming, every
   prefill/decode iteration a heap event) vs the request-level engine on
   the same arrivals. Acceptance bar: the *event-processing* rate stays
   **≥ 0.15×** the request-level engine's — a collapse means the genstep
   path fell off the fast drive loop.
-* **Outage** — a run passing disabled outage/degradation configs (PR 10)
-  vs one passing none. Acceptance bar: bit-identical outputs and **≤ 10%
+* **Outage** — a run passing disabled outage/degradation configs vs one
+  passing none. Acceptance bar: bit-identical outputs and **≤ 10%
   overhead** — the defaults-off fault layer must stay free.
 
-Every "before" implementation is the executable specification kept in the
-tree (``ReferenceWarmPool``, ``_drive_lanes_scan``, the stepwise
-``_step`` loop), so the comparison stays honest as the code evolves.
-
-Run via ``make bench-serving`` (or ``make bench-perf`` for all perf
-benchmarks); results land in ``BENCH_serving.json`` at the repo root.
+Run via ``make bench-serving`` (or ``make bench-perf`` for every floor);
+each test prints its measurements as one JSON line. Performance claims
+are measured by ``benchmarks/perf/`` (``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,10 +32,7 @@ import pytest
 from repro.batching.config import BatchConfig
 from repro.serverless.platform import ServerlessPlatform
 from repro.serving.engine import ServingEngine
-from repro.serving.fleet import EndpointSpec, FleetEngine
-from repro.serving.pool import ReferenceWarmPool, WarmPool, WarmPoolConfig
-
-RESULT_PATH = Path(__file__).parent.parent / "BENCH_serving.json"
+from repro.serving.pool import WarmPoolConfig
 
 pytestmark = pytest.mark.perf
 
@@ -93,15 +74,6 @@ def _best_of_pair(before_fn, after_fn, repeats: int = 3):
     return best["before"], best["after"]
 
 
-def _merge_results(section: str, payload: dict) -> None:
-    data = {}
-    if RESULT_PATH.exists():
-        data = json.loads(RESULT_PATH.read_text())
-    data[section] = payload
-    data["cpu_count"] = os.cpu_count()
-    RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _assert_logs_identical(a, b) -> None:
     np.testing.assert_array_equal(a.latencies, b.latencies)
     np.testing.assert_array_equal(a.shed, b.shed)
@@ -118,74 +90,6 @@ def _assert_logs_identical(a, b) -> None:
             a.evicted_containers) == (b.cold_starts, b.warm_starts,
                                       b.expired_containers,
                                       b.evicted_containers)
-
-
-class _NoCache(dict):
-    """A cache that never hits and never stores (the pre-memoization path)."""
-
-    def get(self, key, default=None):  # noqa: ARG002 - dict signature
-        return None
-
-    def __setitem__(self, key, value):
-        pass
-
-
-class _ReferenceEngine(ServingEngine):
-    """Pre-speed-pass behaviour: stepwise event loop, linear-scan pool,
-    and a fresh service-time/cost computation for every batch."""
-
-    def _make_pool(self) -> WarmPool:
-        return ReferenceWarmPool(self.pool_config, self.platform.cold_start)
-
-    def _drive(self, st, ctx):
-        ctx.service_cache = _NoCache()
-        ctx.cost_cache = _NoCache()
-        while self._step(st, ctx):
-            st.events_processed += 1
-        return self._finish(st, ctx)
-
-
-class _ScanFleet(FleetEngine):
-    """Fleet on the original scan-every-lane selection loop."""
-
-    _scan_lanes = True
-
-
-def test_engine_throughput_floor():
-    """Reference trace: optimized engine ≥ 3× events/sec over the
-    pre-speed-pass path, outputs bit-identical."""
-    ts = _reference_trace()
-
-    def run(engine_cls):
-        return engine_cls(
-            REFERENCE_CONFIG, platform=ServerlessPlatform(),
-            pool=REFERENCE_POOL,
-        ).run(ts)
-
-    (before_s, before), (after_s, after) = _best_of_pair(
-        lambda: run(_ReferenceEngine), lambda: run(ServingEngine)
-    )
-
-    # Equivalence first — a fast wrong answer is no speedup.
-    _assert_logs_identical(before, after)
-
-    speedup = before_s / after_s
-    payload = {
-        "n_requests": int(ts.size),
-        "n_events": int(after.n_events),
-        "before_seconds": round(before_s, 4),
-        "after_seconds": round(after_s, 4),
-        "speedup": round(speedup, 2),
-        "events_per_sec_before": round(after.n_events / before_s),
-        "events_per_sec_after": round(after.n_events / after_s),
-        "requests_per_sec_before": round(ts.size / before_s),
-        "requests_per_sec_after": round(ts.size / after_s),
-    }
-    _merge_results("engine", payload)
-    print(f"\nengine: {json.dumps(payload)}")
-    assert speedup >= 3.0, (
-        f"serving fast path only {speedup:.2f}x over the reference trace"
-    )
 
 
 def test_prewarm_overhead_bounded():
@@ -224,7 +128,6 @@ def test_prewarm_overhead_bounded():
         "requests_per_sec_off": round(ts.size / off_s),
         "requests_per_sec_on": round(ts.size / on_s),
     }
-    _merge_results("prewarm", payload)
     print(f"\nprewarm: {json.dumps(payload)}")
     assert overhead <= 0.5, (
         f"prewarming costs {100 * overhead:.0f}% of engine throughput"
@@ -271,7 +174,6 @@ def test_generation_throughput_floor():
         "events_per_sec_gen": round(gen_eps),
         "events_per_sec_ratio": round(ratio, 2),
     }
-    _merge_results("generation", payload)
     print(f"\ngeneration: {json.dumps(payload)}")
     assert ratio >= 0.15, (
         f"continuous-batching loop processes events at only {ratio:.2f}x "
@@ -338,98 +240,8 @@ def test_outage_disabled_overhead_bounded():
         "enabled_hedges": int(full.hedges),
         "enabled_cold_retries": int(full.cold_retries),
     }
-    _merge_results("outage", payload)
     print(f"\noutage: {json.dumps(payload)}")
     assert overhead <= 0.1, (
         f"disabled outage/degrade configs cost {100 * overhead:.0f}% of "
         "engine throughput — the defaults-off path is no longer free"
     )
-
-
-def test_pool_churn_throughput():
-    """Raw warm-pool churn: heap pool vs linear-scan reference on one
-    deterministic acquire/release sequence."""
-    n_ops = 60_000
-    tiers = (512.0, 1024.0, 2048.0, 4096.0)
-    cfg = WarmPoolConfig(keep_alive_s=5.0, max_containers=256)
-    rng = np.random.default_rng(11)
-    ops = rng.random(n_ops).tolist()
-    gaps = (rng.random(n_ops) * 0.02).tolist()
-
-    def churn(pool_cls):
-        pool = pool_cls(cfg)
-        leases: list[int] = []
-        trail = []
-        now = 0.0
-        for op, gap in zip(ops, gaps):
-            now += gap
-            if op < 0.6 or not leases:
-                lease = pool.acquire(now, tiers[int(op * 1e4) % len(tiers)])
-                if lease is not None:
-                    leases.append(lease.container_id)
-                    trail.append(lease.container_id)
-                else:
-                    trail.append(-1)
-            else:
-                cid = leases.pop()
-                pool.release(cid, now)
-        s = pool.stats
-        return trail, (s.cold_starts, s.warm_starts, s.expired, s.evicted)
-
-    (before_s, before), (after_s, after) = _best_of_pair(
-        lambda: churn(ReferenceWarmPool), lambda: churn(WarmPool)
-    )
-    assert before == after  # identical leases and stats
-
-    payload = {
-        "n_ops": n_ops,
-        "max_containers": cfg.max_containers,
-        "before_seconds": round(before_s, 4),
-        "after_seconds": round(after_s, 4),
-        "speedup": round(before_s / after_s, 2),
-        "ops_per_sec_before": round(n_ops / before_s),
-        "ops_per_sec_after": round(n_ops / after_s),
-    }
-    _merge_results("pool", payload)
-    print(f"\npool: {json.dumps(payload)}")
-
-
-def test_fleet_throughput():
-    """8-endpoint fleet: lane-key heap vs scan-every-lane, bit-identical."""
-    n_lanes = 8
-    endpoints = [
-        EndpointSpec(
-            name=f"ep{i}",
-            config=BatchConfig(memory_mb=1024.0 * (1 + i % 3),
-                               batch_size=4, timeout=0.04),
-            slo=0.2,
-            share=1.0 / n_lanes,
-            pool=WarmPoolConfig(keep_alive_s=20.0, max_containers=16),
-        )
-        for i in range(n_lanes)
-    ]
-    ts = _reference_trace(n=40_000, rate=600.0, seed=3)
-
-    def run(fleet_cls):
-        return fleet_cls(endpoints).run(ts, name="bench")
-
-    (before_s, before), (after_s, after) = _best_of_pair(
-        lambda: run(_ScanFleet), lambda: run(FleetEngine)
-    )
-
-    for spec in endpoints:
-        _assert_logs_identical(before[spec.name], after[spec.name])
-
-    n_events = sum(after[s.name].n_events for s in endpoints)
-    payload = {
-        "n_endpoints": n_lanes,
-        "n_requests": int(ts.size),
-        "n_events": int(n_events),
-        "before_seconds": round(before_s, 4),
-        "after_seconds": round(after_s, 4),
-        "speedup": round(before_s / after_s, 2),
-        "events_per_sec_before": round(n_events / before_s),
-        "events_per_sec_after": round(n_events / after_s),
-    }
-    _merge_results("fleet", payload)
-    print(f"\nfleet: {json.dumps(payload)}")

@@ -369,6 +369,13 @@ class FleetLog:
         served = self.n_served
         return self.total_cost / served if served else float("nan")
 
+    def publish(self, registry) -> None:
+        """Add the fleet-level counters to ``registry``: the applied
+        scheduler plans, when there were any (the lanes publish their own
+        logs, with :meth:`ServingLog.publish`'s skip-zero rule)."""
+        if self.fleet_decisions:
+            registry.counter("fleet.scheduler_plans").inc(self.fleet_decisions)
+
 
 class FleetEngine:
     """N endpoint engines merged into one deterministic event loop.
@@ -518,37 +525,35 @@ class FleetEngine:
             min(first_arrivals) + self.scheduler_interval_s
             if self.scheduler is not None and first_arrivals else None
         )
-        drive = self._drive_lanes_scan if self._scan_lanes else self._drive_lanes
-        fleet_decisions = drive(lanes, budget, next_tick)
+        fleet_decisions = self._drive_lanes(lanes, budget, next_tick)
 
         logs = {
             spec.name: eng._finish(st, ctx)
             for spec, (eng, st, ctx) in zip(self.endpoints, lanes)
         }
-        return FleetLog(
+        fleet_log = FleetLog(
             name=name, logs=logs, fleet_decisions=fleet_decisions,
             max_containers=self.max_containers,
         )
+        if registry.enabled:
+            fleet_log.publish(registry)
+        return fleet_log
 
     # ------------------------------------------------------------ internals
-    #: When True, :meth:`run` drives lanes with the original scan-every-lane
-    #: loop (:meth:`_drive_lanes_scan`). The serving benchmark flips this on
-    #: a subclass to measure the heap-merged loop against its specification.
-    _scan_lanes = False
-
     def _drive_lanes(self, lanes, budget, next_tick) -> int:
         """Heap-merged lane stepping: the fleet's next event in O(log n).
 
         A lane-key heap holds one entry ``(time, priority, lane, stamp)``
-        per lane — the lane's own next-event key plus its index, exactly
-        the ranking the scan loop minimized, so the selection (ties
-        included: earlier lane first) is identical. Entries are lazily
-        invalidated by a per-lane stamp: whenever a lane's key may have
-        changed (it was stepped, a cross-lane drain started one of its
-        queued batches, or a scheduler tick injected decisions), the stamp
-        is bumped and a fresh entry pushed; stale entries are discarded as
-        they surface. Bit-identity with :meth:`_drive_lanes_scan` is
-        pinned by the fleet equivalence tests.
+        per lane: the lane's own next-event key plus its index, so the
+        fleet steps the globally next event, ties going to the earlier
+        lane. Entries are lazily invalidated by a per-lane stamp: whenever
+        a lane's key may have changed (it was stepped, a cross-lane drain
+        or failover started one of its queued batches, or a scheduler tick
+        injected decisions), the stamp is bumped and a fresh entry pushed;
+        stale entries are discarded as they surface. A brownout shed only
+        pops a queue, which no key reads, so it re-keys nothing. The fleet
+        golden digests (``tests/serving/test_fleet_drive_equivalence.py``)
+        pin the loop's output.
         """
         fleet_decisions = 0
         degrading = (budget is not None or self.failover is not None
@@ -610,49 +615,12 @@ class FleetEngine:
                 if self.failover is not None:
                     changed |= self._failover_pass(lanes, now)
                 if self.brownout is not None:
-                    changed |= self._brownout_pass(lanes, now)
+                    self._brownout_pass(lanes, now)
                 changed.add(i)
                 for j in changed:
                     rekey(j)
             else:
                 rekey(i)
-        return fleet_decisions
-
-    def _drive_lanes_scan(self, lanes, budget, next_tick) -> int:
-        """The original O(lanes)-per-event selection loop, kept verbatim as
-        the executable specification for :meth:`_drive_lanes` and as the
-        "before" side of the serving benchmark."""
-        fleet_decisions = 0
-        while True:
-            best = None  # ((time, priority, lane), lane_index)
-            for i, (eng, st, _ctx) in enumerate(lanes):
-                key = eng._next_event_key(st)
-                if key is not None:
-                    ranked = (key[0], key[1], i)
-                    if best is None or ranked < best[0]:
-                        best = (ranked, i)
-            if next_tick is not None and (
-                best is None or (next_tick, _P_DECISION) <= best[0][:2]
-            ):
-                fleet_decisions += self._scheduler_tick(lanes, next_tick)
-                next_tick = (
-                    next_tick + self.scheduler_interval_s
-                    if any(st.arrival_ptr < st.n for _, st, _ in lanes)
-                    else None
-                )
-                continue
-            if best is None:
-                break
-            eng, st, ctx = lanes[best[1]]
-            eng._step(st, ctx)
-            st.events_processed += 1
-            now = float(st.clock)
-            if budget is not None:
-                self._drain_queues(lanes, now)
-            if self.failover is not None:
-                self._failover_pass(lanes, now)
-            if self.brownout is not None:
-                self._brownout_pass(lanes, now)
         return fleet_decisions
 
     def _scheduler_tick(self, lanes, now: float) -> int:
@@ -664,9 +632,6 @@ class FleetEngine:
         plan = self.scheduler.decide(histories, self.endpoints)
         if plan is None:
             return 0
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("fleet.scheduler_plans").inc()
         for spec, (eng, st, ctx) in zip(self.endpoints, lanes):
             eng._inject_decision(st, ctx, now, plan[spec.name], "fleet")
         return 1
@@ -733,18 +698,16 @@ class FleetEngine:
                     break
         return changed
 
-    def _brownout_pass(self, lanes, now: float) -> set[int]:
+    def _brownout_pass(self, lanes, now: float) -> None:
         """Shed the fleet's backlog down to the brownout cap.
 
         While the total queued-batch count exceeds ``max_total_queued``,
         drop the *newest* queued batch (LIFO — the oldest waiters keep
         their place) from the lowest-priority backlogged lane (ties:
-        later lane first). Shedding never changes a lane's event heap, so
-        the returned set only matters for bookkeeping symmetry.
+        later lane first).
         """
         cap = self.brownout.max_total_queued
         total = sum(len(st.queue) for _eng, st, _ctx in lanes)
-        changed: set[int] = set()
         while total > cap:
             victim = max(
                 (i for i, (_eng, st, _ctx) in enumerate(lanes) if st.queue),
@@ -764,6 +727,4 @@ class FleetEngine:
                 ))
             if st.trace is not None or ctx.journal is not None:
                 eng._emit(st, ctx, ("brownout_shed", now, batch.size))
-            changed.add(victim)
             total -= 1
-        return changed

@@ -23,19 +23,10 @@ that state:
 The pool is purely deterministic — no RNG — so the serving engine's
 event-trace determinism reduces to event ordering.
 
-Two implementations share the semantics:
-
-* :class:`WarmPool` — the production pool. Expiry, MRU warm reuse, and
-  capacity eviction all run off heaps with lazy invalidation (an idle
-  min-heap keyed ``(free_at, container_id)`` doubling as expiry queue and
-  eviction order, plus one MRU max-heap per memory tier), so every
-  :meth:`~WarmPool.acquire` costs O(log n) instead of the three O(n)
-  scans the linear version pays.
-* :class:`ReferenceWarmPool` — the original linear-scan implementation,
-  kept verbatim as the *executable specification*: the pool test suite
-  drives both through identical operation sequences and asserts
-  bit-identical leases, stats, and container sets, and the serving
-  benchmark uses it as the "before" side of ``BENCH_serving.json``.
+Expiry, MRU warm reuse, and capacity eviction all run off heaps with lazy
+invalidation (an idle min-heap keyed ``(free_at, container_id)`` doubling
+as expiry queue and eviction order, plus one MRU max-heap per memory
+tier), so every :meth:`~WarmPool.acquire` costs O(log n).
 """
 
 from __future__ import annotations
@@ -127,27 +118,25 @@ class WarmPool:
     that moment, so no timer events are needed and the pool stays
     event-order deterministic.
 
-    Internals (the serving-loop speed pass): the linear implementation
-    (:class:`ReferenceWarmPool`) rescans every container on each acquire —
-    once for expiry, once for a warm match, once for an eviction victim —
-    which is O(n) per dispatched batch and dominated big-pool runs. This
-    pool keeps the same observable behaviour with heaps:
+    Internals: expiry, warm reuse and eviction run off heaps rather than
+    rescanning every container on each acquire:
 
     * ``_idle_heap`` — min-heap of ``(free_at, container_id)`` entries, one
       per release. Ascending ``free_at`` is simultaneously the expiry order
-      (oldest idle first) and the reference eviction order
-      (``min(idle, key=(free_at, container_id))``).
+      (oldest idle first) and the eviction order (the least-recently-freed
+      idle container, ties by container id).
     * ``_warm_heaps[memory_mb]`` — per-tier max-heap on
-      ``(free_at, container_id)`` (stored negated), mirroring the
-      reference's MRU pick ``max(warm, key=(free_at, container_id))``.
+      ``(free_at, container_id)`` (stored negated): the MRU pick, ties by
+      highest container id.
 
     Entries are invalidated lazily: an entry is live only while the
     container still exists *and* still has the recorded ``free_at`` (an
     acquire resets ``free_at`` to ``inf``, orphaning every older entry).
     A container re-released at an identical timestamp re-creates an equal
     key, which selects identically — so lazy invalidation never changes a
-    decision, only skips dead weight. Bit-identity with the reference is
-    pinned by ``tests/serving/test_pool_equivalence.py``.
+    decision, only skips dead weight. The seeded churns and their golden
+    digests in ``tests/serving/test_pool_equivalence.py`` pin the
+    behaviour.
     """
 
     def __init__(
@@ -219,7 +208,7 @@ class WarmPool:
         # is monotone non-increasing along that order, so the first
         # still-alive entry ends the sweep. The comparison is kept as
         # ``now - free_at > keep`` (not a precomputed cutoff) so the
-        # floating-point decision is bit-identical to the linear scan's.
+        # floating-point decision matches the inspection counts'.
         heap = self._idle_heap
         containers = self._containers
         while heap and now - heap[0][0] > keep:
@@ -266,9 +255,9 @@ class WarmPool:
         if cap is not None and len(containers) >= cap:
             # Evict an idle container of another tier to make room (a
             # redeploy); with every container busy the pool is exhausted.
-            # The idle heap's ascending (free_at, id) order is exactly the
-            # reference victim choice: the least-recently-freed idle
-            # container, ties broken by container id.
+            # The idle heap's ascending (free_at, id) order is the victim
+            # choice: the least-recently-freed idle container, ties broken
+            # by container id.
             idle_heap = self._idle_heap
             victim_id = None
             while idle_heap:
@@ -311,8 +300,7 @@ class WarmPool:
         keep-alive sweep — so replacement capacity can provision right
         away. A crashed container is mid-invocation (``free_at == inf``),
         so no idle/warm heap entry can refer to it; stale entries from
-        earlier idle spells self-invalidate lazily as usual. Shared by
-        both pool implementations.
+        earlier idle spells self-invalidate lazily as usual.
         """
         if self._containers.pop(container_id, None) is not None:
             self.stats.crashed += 1
@@ -361,9 +349,7 @@ class WarmPool:
             container = _Container(self._next_id, memory_mb, free_at=math.inf)
             self._next_id += 1
             containers[container.container_id] = container
-            # release() marks it idle at ``now`` — and is the one place the
-            # production pool and the linear-scan reference differ on index
-            # maintenance, so prewarm stays a single shared implementation.
+            # release() marks it idle at ``now`` and indexes it in the heaps.
             self.release(container.container_id, now)
             provisioned += 1
         self.stats.prewarmed += provisioned
@@ -395,68 +381,3 @@ class WarmPool:
         self.stats.retired += retired
         return retired
 
-
-class ReferenceWarmPool(WarmPool):
-    """The original linear-scan pool, kept as the executable specification.
-
-    Every acquire rescans the container dict (expiry sweep, warm-match
-    scan, eviction-victim scan) exactly as the pre-speed-pass pool did.
-    ``tests/serving/test_pool_equivalence.py`` drives this and
-    :class:`WarmPool` through identical operation sequences and asserts
-    bit-identical behaviour; ``benchmarks/test_perf_serving.py`` uses it
-    as the "before" implementation when measuring the serving speedup.
-    """
-
-    def _expire(self, now: float) -> None:
-        keep = self.config.keep_alive_s
-        if math.isinf(keep):
-            return
-        dead = [
-            cid
-            for cid, c in self._containers.items()
-            if c.free_at <= now and now - c.free_at > keep
-        ]
-        for cid in dead:
-            del self._containers[cid]
-        self.stats.expired += len(dead)
-
-    def acquire(self, now: float, memory_mb: float) -> Lease | None:
-        self._expire(now)
-        warm = [
-            c
-            for c in self._containers.values()
-            if c.free_at <= now and c.memory_mb == memory_mb
-        ]
-        if warm:
-            chosen = max(warm, key=lambda c: (c.free_at, c.container_id))
-            chosen.free_at = math.inf
-            self.stats.warm_starts += 1
-            return Lease(chosen.container_id, cold=False, cold_delay=0.0)
-
-        if self.outage is not None and self.outage.active(now):
-            self.stats.outage_denied += 1
-            return None
-
-        cap = self.config.max_containers
-        if cap is not None and len(self._containers) >= cap:
-            idle = [c for c in self._containers.values() if c.free_at <= now]
-            if not idle:
-                return None
-            victim = min(idle, key=lambda c: (c.free_at, c.container_id))
-            del self._containers[victim.container_id]
-            self.stats.evicted += 1
-
-        if not self._admit_cold(now):
-            return None
-        container = _Container(self._next_id, memory_mb, free_at=math.inf)
-        self._next_id += 1
-        self._containers[container.container_id] = container
-        self.stats.cold_starts += 1
-        return Lease(container.container_id, cold=True,
-                     cold_delay=self.cold_delay(memory_mb))
-
-    def release(self, container_id: int, now: float) -> None:
-        container = self._containers.get(container_id)
-        if container is None:
-            return
-        container.free_at = now

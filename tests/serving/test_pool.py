@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.serverless.service_profile import ColdStartModel
-from repro.serving.pool import ReferenceWarmPool, WarmPool, WarmPoolConfig
+from repro.serving.pool import WarmPool, WarmPoolConfig
 
 pytestmark = pytest.mark.serving
 
@@ -109,7 +109,7 @@ class TestInspectionIsPure:
     prewarmer's polling, a dashboard probe) mutated containers, heaps, and
     the ``expired`` counter. Inspection must be side-effect-free."""
 
-    @pytest.mark.parametrize("pool_cls", [WarmPool, ReferenceWarmPool])
+    @pytest.mark.parametrize("pool_cls", [WarmPool])
     def test_counts_leave_state_bit_identical(self, pool_cls):
         pool = pool_cls(WarmPoolConfig(keep_alive_s=5.0))
         a = pool.acquire(0.0, 2048.0)
@@ -129,7 +129,7 @@ class TestInspectionIsPure:
         pool.acquire(100.0, 2048.0)
         assert pool.stats.expired == 2
 
-    @pytest.mark.parametrize("pool_cls", [WarmPool, ReferenceWarmPool])
+    @pytest.mark.parametrize("pool_cls", [WarmPool])
     def test_expiry_boundary_matches_the_sweep(self, pool_cls):
         # The count uses the same float comparison as the sweep
         # (now - free_at > keep): idle *exactly* keep_alive is still live.
@@ -140,7 +140,7 @@ class TestInspectionIsPure:
         assert pool.warm_containers(6.0) == 1
         assert pool.live_containers(6.0 + 1e-9) == 0
 
-    @pytest.mark.parametrize("pool_cls", [WarmPool, ReferenceWarmPool])
+    @pytest.mark.parametrize("pool_cls", [WarmPool])
     def test_busy_containers_are_live_at_any_horizon(self, pool_cls):
         pool = pool_cls(WarmPoolConfig(keep_alive_s=1.0))
         pool.acquire(0.0, 2048.0)  # stays busy (free_at = inf)

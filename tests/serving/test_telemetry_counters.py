@@ -13,8 +13,8 @@ file pins that contract three ways:
   nothing, the completed leg publishes the log — counters and histograms
   alike;
 * an ``ast`` lint keeps data-plane ``.counter(...)`` calls out of
-  ``repro.serving``: only ``checkpoint.*``, ``fleet.scheduler_plans``
-  and the publish table itself may create counters; and it keeps
+  ``repro.serving``: only ``checkpoint.*`` and the ``publish`` functions
+  of ``ServingLog`` and ``FleetLog`` may create counters; and it keeps
   ``.histogram(...)`` calls out of ``repro.serving`` and the batching
   buffer except in their ``publish`` functions.
 """
@@ -35,6 +35,7 @@ from repro.serving import (
 )
 from repro.serving.config import GenerationConfig
 from repro.telemetry.metrics import MetricsRegistry, use_registry
+from tests.serving.test_fleet_drive_equivalence import run_scheduled
 from tests.serving.test_golden_digests import (
     CONFIG,
     AlternatingChooser,
@@ -59,12 +60,11 @@ BUFFER_PATH = SRC_DIR / "batching" / "buffer.py"
 
 
 def registry_counters(registry) -> dict:
-    """The run's counters, minus the checkpoint/fleet counters that stay
-    in the loop."""
+    """The run's counters, minus the checkpoint counters that stay in the
+    loop."""
     return {
         r["name"]: r["value"] for r in registry.records()
-        if r["type"] == "counter"
-        and not r["name"].startswith(("checkpoint.", "fleet."))
+        if r["type"] == "counter" and not r["name"].startswith("checkpoint.")
     }
 
 
@@ -182,6 +182,11 @@ class TestCountersMatchLog:
         gold = logs[0]
         assert counters["serving.gold.cold_starts"] == 320
         assert gold.cold_starts == 284
+
+    def test_fleet_scheduler_plans(self):
+        log, counters = observed(run_scheduled)
+        assert log.fleet_decisions >= 1
+        assert counters["fleet.scheduler_plans"] == log.fleet_decisions
 
     def test_straggler_batches_that_later_crash_are_counted(self):
         log, counters = observed(run_outages)
@@ -311,8 +316,8 @@ class TestHistogramsMatchLog:
 
 
 # -------------------------------------------------------------------- lint
-#: Counter names ``repro.serving`` may create outside the publish table.
-ALLOWED_PREFIXES = ("checkpoint.", "fleet.scheduler_plans")
+#: Counter names ``repro.serving`` may create outside a publish function.
+ALLOWED_PREFIXES = ("checkpoint.",)
 
 
 def counter_calls(path: Path, attr: str = "counter"):
@@ -345,7 +350,7 @@ class TestNoDataPlaneCounters:
         offenders = []
         for path in sorted(SERVING_DIR.glob("*.py")):
             for lineno, arg, func in counter_calls(path):
-                if path.name == "log.py" and func == "publish":
+                if path.name in ("log.py", "fleet.py") and func == "publish":
                     continue
                 if (
                     isinstance(arg, ast.Constant)
