@@ -40,6 +40,7 @@ two endpoints never share a counter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -176,6 +177,16 @@ class FleetBudget:
 
     A budget is built fresh per :meth:`FleetEngine.run` (pools register
     at pool construction), so runs never share eviction state.
+
+    ``freed`` is raised by every call that may free capacity anywhere in
+    the fleet — a release (donor releases and prewarms included), a kill,
+    a keep-alive sweep, a retirement, a budget eviction — and lowered when
+    the fleet drains. Of these, only releases and kills can turn a denied
+    acquire into a grant (the others remove idle containers, which a
+    denied lane could not use or could have evicted itself); the rest
+    raise it too, so that "nothing was freed" needs no such argument. A
+    pool's own-cap eviction raises nothing: the same acquire refills the
+    slot.
     """
 
     def __init__(self, max_containers: int | None = None) -> None:
@@ -185,6 +196,7 @@ class FleetBudget:
             )
         self.max_containers = max_containers
         self._pools: list[WarmPool] = []
+        self.freed = False
 
     def register(self, pool: WarmPool) -> None:
         self._pools.append(pool)
@@ -202,22 +214,28 @@ class FleetBudget:
         live = sum(len(p._containers) for p in self._pools)
         if live < self.max_containers:
             return True
-        idle = [
-            (c.free_at, lane, c.container_id, pool)
+        # Each pool's least-recently-freed idle container, and the oldest
+        # of those: the global minimum of (free_at, lane, container_id).
+        tops = [
+            (top[0], lane, top[1])
             for lane, pool in enumerate(self._pools)
-            for c in pool._containers.values()
-            if c.free_at <= now
+            if (top := pool._oldest_idle()) is not None
         ]
-        if not idle:
+        if not tops:
             return False
-        _, _, victim_id, victim_pool = min(idle, key=lambda x: x[:3])
-        del victim_pool._containers[victim_id]
-        victim_pool.stats.evicted += 1
+        _, lane, victim_id = min(tops)
+        victim = self._pools[lane]
+        heappop(victim._idle_heap)
+        del victim._containers[victim_id]
+        victim.stats.evicted += 1
+        self.freed = True
         return True
 
 
 class BudgetedWarmPool(WarmPool):
-    """A :class:`WarmPool` whose cold starts charge a shared fleet budget."""
+    """A :class:`WarmPool` whose cold starts charge a shared fleet budget
+    and whose capacity-freeing calls raise the budget's ``freed`` flag
+    (:meth:`prewarm` through :meth:`release`)."""
 
     def __init__(
         self,
@@ -232,6 +250,54 @@ class BudgetedWarmPool(WarmPool):
 
     def _admit_cold(self, now: float) -> bool:
         return self.budget.admit_cold(now)
+
+    def _expire(self, now: float) -> None:
+        heap = self._idle_heap
+        if heap and now - heap[0][0] > self.config.keep_alive_s:
+            # The sweep will pop at least this entry (a stale one, at
+            # worst, which makes the flag merely conservative).
+            self.budget.freed = True
+            super()._expire(now)
+
+    def release(self, container_id: int, now: float) -> None:
+        self.budget.freed = True
+        super().release(container_id, now)
+
+    def kill(self, container_id: int) -> None:
+        self.budget.freed = True
+        super().kill(container_id)
+
+    def retire_idle(self, now: float, memory_mb: float, n: int) -> int:
+        retired = super().retire_idle(now, memory_mb, n)
+        if retired:
+            self.budget.freed = True
+        return retired
+
+    def wake_at(self, now: float) -> float:
+        """The first clock value from which an acquire denied at ``now``
+        may act differently with no capacity freed in between: the end of
+        the outage window open at ``now`` (windows are closed-open), or
+        the instant the oldest idle container expires. ``inf`` if neither.
+
+        The expiry instant is the smallest float ``t`` with ``t - free_at
+        > keep_alive_s`` — :meth:`_expire`'s own comparison, which is
+        monotone in ``t`` — so ``now >= wake_at(...)`` holds exactly when
+        the sweep would reclaim that container.
+        """
+        windows = self.outage.windows if self.outage is not None else ()
+        wake = next((w.end for w in windows if w.start <= now < w.end),
+                    math.inf)
+        keep = self.config.keep_alive_s
+        oldest = self._oldest_idle()
+        if oldest is not None and not math.isinf(keep):
+            free_at = oldest[0]
+            t = free_at + keep
+            while t - free_at > keep:
+                t = math.nextafter(t, -math.inf)
+            while not t - free_at > keep:
+                t = math.nextafter(t, math.inf)
+            wake = min(wake, t)
+        return wake
 
 
 class _LaneEngine(ServingEngine):
@@ -398,17 +464,18 @@ class FleetEngine:
         Cadence of fleet decision ticks (required with a scheduler).
     brownout:
         Optional :class:`~repro.serving.degrade.BrownoutConfig` (PR 10):
-        when the total queued-batch backlog across all lanes exceeds its
-        cap, the newest queued batch of the lowest-priority backlogged
-        lane is shed until the backlog fits — controlled load shedding
-        that starves the cheap tier to keep the premium tier inside SLO.
+        after any fleet step that leaves the total queued-batch backlog
+        across all lanes above its cap, the newest queued batch of the
+        lowest-priority backlogged lane is shed until the backlog fits —
+        controlled load shedding that starves the cheap tier to keep the
+        premium tier inside SLO.
     failover:
         Optional :class:`~repro.serving.degrade.FailoverConfig` (PR 10):
-        after every fleet step, a starved lane (queue at least
-        ``min_queue`` deep) drains batches onto idle compatible donors —
-        lanes at the same memory tier with empty queues — highest
-        priority first. The owner keeps the accounting; the donor hosts
-        the container.
+        after any fleet step that leaves some lane's queue at least
+        ``min_queue`` deep, starved lanes drain batches onto idle
+        compatible donors — lanes at the same memory tier with empty
+        queues — highest priority first. The owner keeps the accounting;
+        the donor hosts the container.
     """
 
     def __init__(
@@ -551,15 +618,45 @@ class FleetEngine:
         or failover started one of its queued batches, or a scheduler tick
         injected decisions), the stamp is bumped and a fresh entry pushed;
         stale entries are discarded as they surface. A brownout shed only
-        pops a queue, which no key reads, so it re-keys nothing. The fleet
-        golden digests (``tests/serving/test_fleet_drive_equivalence.py``)
-        pin the loop's output.
+        pops a queue, which no key reads, so it re-keys nothing.
+
+        After a step the cross-lane passes run on the stepped lane's
+        clock, each only when its inputs may have changed. Only a lane's
+        own step or a pass changes its queue, so re-syncing those lanes
+        keeps per-lane queue lengths, their total and the count of lanes
+        at least ``min_queue`` deep exact. With nothing queued every pass
+        is a no-op. Otherwise:
+
+        * failover runs while some lane is ``min_queue`` deep, and
+          brownout while the total exceeds its cap;
+        * the drain (budgeted fleets only) runs when the budget's
+          ``freed`` flag is up, when a lane's memory tier changed (a
+          scheduler tick only schedules reconfigurations, so it counts
+          when they apply), or when the clock reached a queued lane's
+          :meth:`BudgetedWarmPool.wake_at`. Between those, every queued
+          lane's acquire would be denied again with no effect but one
+          ``outage_denied`` for each lane inside an outage window, which
+          is counted instead.
+
+        The fleet golden digests (``tests/serving/test_fleet_passes.py``,
+        ``test_fleet_drive_equivalence.py``) pin the loop's output.
         """
         fleet_decisions = 0
-        degrading = (budget is not None or self.failover is not None
-                     or self.brownout is not None)
-        stamps = [0] * len(lanes)
+        n = len(lanes)
+        coupled = (budget is not None or self.failover is not None
+                   or self.brownout is not None)
+        stamps = [0] * n
         lane_heap: list[tuple[float, int, int, int]] = []
+        min_queue = (self.failover.min_queue if self.failover is not None
+                     else None)
+        cap = (self.brownout.max_total_queued if self.brownout is not None
+               else None)
+        qlen = [0] * n
+        total = deep = 0
+        tiers = [st.active.memory_mb for _eng, st, _ctx in lanes]
+        outage_lanes = [j for j, (_eng, st, _ctx) in enumerate(lanes)
+                  if st.pool.outage is not None]
+        wake = math.inf
 
         def rekey(i: int) -> None:
             stamps[i] += 1
@@ -568,7 +665,17 @@ class FleetEngine:
             if key is not None:
                 heappush(lane_heap, (key[0], key[1], i, stamps[i]))
 
-        for i in range(len(lanes)):
+        def sync(j: int) -> None:
+            nonlocal total, deep
+            q = len(lanes[j][1].queue)
+            old = qlen[j]
+            if q != old:
+                qlen[j] = q
+                total += q - old
+                if min_queue is not None:
+                    deep += (q >= min_queue) - (old >= min_queue)
+
+        for i in range(n):
             rekey(i)
 
         while True:
@@ -592,7 +699,7 @@ class FleetEngine:
                     if any(st.arrival_ptr < st.n for _, st, _ in lanes)
                     else None
                 )
-                for i in range(len(lanes)):
+                for i in range(n):
                     rekey(i)
                 continue
             if head is None:
@@ -601,26 +708,54 @@ class FleetEngine:
             eng, st, ctx = lanes[i]
             eng._step(st, ctx)
             st.events_processed += 1
-            if degrading:
-                # A completion (or eviction headroom) in one lane can
-                # unblock batches queued in another; the lanes' own
-                # completion handlers only drain their own queues. The
-                # failover and brownout passes run on the same cadence:
-                # after every fleet step, on the stepped lane's clock.
-                now = float(st.clock)
-                changed = (
-                    self._drain_queues(lanes, now)
-                    if budget is not None else set()
-                )
-                if self.failover is not None:
-                    changed |= self._failover_pass(lanes, now)
-                if self.brownout is not None:
-                    self._brownout_pass(lanes, now)
-                changed.add(i)
-                for j in changed:
-                    rekey(j)
-            else:
+            if not coupled:
                 rekey(i)
+                continue
+            now = float(st.clock)
+            newly_queued = not qlen[i]
+            sync(i)
+            if budget is not None and st.active.memory_mb != tiers[i]:
+                tiers[i] = st.active.memory_mb
+                budget.freed = True
+            if not total:
+                # Nothing queued: every pass would be a no-op, and this
+                # counts as the drain for the freed flag.
+                if budget is not None:
+                    budget.freed = False
+                    wake = math.inf
+                rekey(i)
+                continue
+            changed = {i}
+            if budget is not None:
+                if newly_queued and qlen[i]:
+                    wake = min(wake, st.pool.wake_at(now))
+                if budget.freed or now >= wake:
+                    budget.freed = False
+                    drained = self._drain_queues(lanes, now)
+                    for j in drained:
+                        sync(j)
+                    changed |= drained
+                    wake = min((lanes[j][1].pool.wake_at(now)
+                                for j in range(n) if qlen[j]),
+                               default=math.inf)
+                else:
+                    # The skipped drain's retries: each queued lane inside
+                    # an outage window would have been denied once more.
+                    for j in outage_lanes:
+                        pool = lanes[j][1].pool
+                        if qlen[j] and pool.outage.active(now):
+                            pool.stats.outage_denied += 1
+            if deep:
+                owners = self._failover_pass(lanes, now)
+                for j in owners:
+                    sync(j)
+                changed |= owners
+            if cap is not None and total > cap:
+                self._brownout_pass(lanes, now)
+                for j in range(n):
+                    sync(j)
+            for j in changed:
+                rekey(j)
         return fleet_decisions
 
     def _scheduler_tick(self, lanes, now: float) -> int:

@@ -82,6 +82,15 @@ class PoolStats:
     ``crashed`` and ``outage_denied`` (PR 10) default to 0 as class
     attributes, so stats objects pickled before the fields existed
     restore cleanly.
+
+    ``outage_denied`` counts denied *calls*, not batches: every
+    :meth:`WarmPool.acquire` or :meth:`WarmPool.prewarm` refused because
+    an outage window was open. A batch that waits out a window therefore
+    counts once per retry. Under a fleet budget that includes the drain
+    pass, which retries each queued lane once per fleet step: in a 2-lane
+    fleet whose lane 0 has an outage, lane 0 reports 108 denials without
+    a budget and 1030 with a non-binding ``max_containers=8``, serving
+    the same requests at the same latencies.
     """
 
     cold_starts: int = 0
@@ -255,23 +264,11 @@ class WarmPool:
         if cap is not None and len(containers) >= cap:
             # Evict an idle container of another tier to make room (a
             # redeploy); with every container busy the pool is exhausted.
-            # The idle heap's ascending (free_at, id) order is the victim
-            # choice: the least-recently-freed idle container, ties broken
-            # by container id.
-            idle_heap = self._idle_heap
-            victim_id = None
-            while idle_heap:
-                free_at, cid = idle_heap[0]
-                container = containers.get(cid)
-                if container is None or container.free_at != free_at:
-                    heappop(idle_heap)
-                    continue
-                victim_id = cid
-                break
-            if victim_id is None:
+            oldest = self._oldest_idle()
+            if oldest is None:
                 return None
-            heappop(idle_heap)
-            del containers[victim_id]
+            heappop(self._idle_heap)
+            del containers[oldest[1]]
             self.stats.evicted += 1
 
         if not self._admit_cold(now):
@@ -282,6 +279,24 @@ class WarmPool:
         self.stats.cold_starts += 1
         return Lease(container.container_id, cold=True,
                      cold_delay=self.cold_delay(memory_mb))
+
+    def _oldest_idle(self) -> tuple[float, int] | None:
+        """``(free_at, container_id)`` of the least-recently-freed idle
+        container (ties by container id), or ``None`` when none is idle.
+
+        The live top of the idle heap, with stale entries discarded on
+        the way; it is the eviction victim and the next container to
+        expire.
+        """
+        heap = self._idle_heap
+        containers = self._containers
+        while heap:
+            free_at, cid = heap[0]
+            container = containers.get(cid)
+            if container is not None and container.free_at == free_at:
+                return heap[0]
+            heappop(heap)
+        return None
 
     def _admit_cold(self, now: float) -> bool:
         """Hook: may a *new* container be provisioned at ``now``?
