@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.serverless.generation import TokenServiceProfile
 
@@ -51,8 +52,7 @@ class GenRequest:
         return self.prompt_tokens + self.output_tokens
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """What happened at one iteration boundary.
 
     ``prefilled`` requests produced their first token at the boundary
@@ -78,7 +78,9 @@ class ContinuousSession:
     ``next_duration`` seconds later. The session plans one iteration at a
     time and applies its effects at the *next* boundary, so state never
     runs ahead of simulated time (checkpoints taken between events see a
-    consistent picture).
+    consistent picture). Iteration durations go through ``durations``:
+    the serving engine passes one memo per run and memory size, shared
+    by all its sessions; a session built without one keeps its own.
     """
 
     profile: TokenServiceProfile
@@ -97,12 +99,13 @@ class ContinuousSession:
     n_served: int = 0
     n_prefills: int = 0
     n_decodes: int = 0
-    #: Iteration-duration memo: ``(memory_mb, n)`` is fixed-or-small, and
-    #: the profile is pure, so each (kind, n) pair is computed once per
-    #: session instead of once per iteration (the profile math goes
-    #: through NumPy scalars — expensive at heap-event frequency).
-    _durations: "dict[int, float]" = field(default_factory=dict, repr=False,
-                                           compare=False)
+    #: Iteration-duration memo, prefill keys ``-n`` and decode keys ``n``.
+    #: The profile is pure in ``(memory_mb, n)``, so sessions at one
+    #: ``memory_mb`` may share one dict: the serving engine passes a
+    #: run-level memo per memory tier, and the profile math (NumPy scalars,
+    #: expensive at heap-event frequency) runs once per run and key.
+    durations: "dict[int, float]" = field(default_factory=dict, repr=False,
+                                          compare=False)
 
     def can_accept(self, request: GenRequest) -> bool:
         """Whether ``request`` would fit if it joined at the next boundary."""
@@ -173,24 +176,19 @@ class ContinuousSession:
             self.n_prefills += 1
             # Prefill keys are negative, decode keys positive (n >= 1).
             key = -len(admits)
-            duration = self._durations.get(key)
+            duration = self.durations.get(key)
             if duration is None:
                 duration = float(self.profile.ttft(self.memory_mb, -key))
-                self._durations[key] = duration
+                self.durations[key] = duration
         elif self.running:
             self.pending_kind = "decode"
             self.n_decodes += 1
             key = len(self.running)
-            duration = self._durations.get(key)
+            duration = self.durations.get(key)
             if duration is None:
                 duration = float(self.profile.tpot(self.memory_mb, key))
-                self._durations[key] = duration
+                self.durations[key] = duration
         else:
-            return StepResult(prefilled=tuple(prefilled),
-                              finished=tuple(finished))
-        return StepResult(
-            prefilled=tuple(prefilled),
-            finished=tuple(finished),
-            next_duration=duration,
-            next_kind=self.pending_kind,
-        )
+            return StepResult(tuple(prefilled), tuple(finished))
+        return StepResult(tuple(prefilled), tuple(finished), duration,
+                          self.pending_kind)

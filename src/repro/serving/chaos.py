@@ -130,7 +130,8 @@ def assert_serving_logs_equal(
         x, y = getattr(a, name), getattr(b, name)
         if x.shape != y.shape or not np.array_equal(x, y, equal_nan=True):
             raise AssertionError(f"ServingLog.{name} differs: {x!r} != {y!r}")
-    optional_array_fields = ("hedged", "failed_over")
+    optional_array_fields = ("hedged", "failed_over", "ttft", "tpot",
+                             "prompt_tokens", "output_tokens")
     for name in optional_array_fields:
         x, y = getattr(a, name), getattr(b, name)
         if (x is None) != (y is None):
@@ -138,7 +139,7 @@ def assert_serving_logs_equal(
                 f"ServingLog.{name} present in one log only"
             )
         if x is not None and (
-            x.shape != y.shape or not np.array_equal(x, y)
+            x.shape != y.shape or not np.array_equal(x, y, equal_nan=True)
         ):
             raise AssertionError(f"ServingLog.{name} differs: {x!r} != {y!r}")
     scalar_fields = (
@@ -152,7 +153,9 @@ def assert_serving_logs_equal(
         "straggler_batches", "cold_retries", "cold_retry_exhausted",
         "hedges", "hedge_wins", "hedge_denied", "hedge_cost",
         "brownout_shed", "failover_batches", "queued_batches",
-        "decision_errors",
+        "decision_errors", "ttft_slo", "tpot_slo", "gen_sessions",
+        "gen_prefill_iterations", "gen_decode_iterations", "gen_tokens",
+        "gen_shed",
     )
     for name in scalar_fields:
         x, y = getattr(a, name), getattr(b, name)

@@ -231,6 +231,8 @@ class GenerationConfig:
             raise ValueError(f"ttft_slo must be > 0 or None, got {self.ttft_slo}")
         if self.tpot_slo is not None and self.tpot_slo <= 0:
             raise ValueError(f"tpot_slo must be > 0 or None, got {self.tpot_slo}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def fingerprint(self) -> tuple:
         """Scalar identity for checkpoint compatibility checks.

@@ -238,7 +238,9 @@ class _RunContext:
     crash_after: int | None = None
     replay_expect: list | None = None
     replay_pos: int = 0
-    #: ``(memory_mb, size) -> (ttft, tpot)`` of the generation timing.
+    #: ``(memory_mb, size) -> (ttft, tpot)`` of the buffer-mode generation
+    #: timing, and ``memory_mb -> {±n: duration}``, the iteration-duration
+    #: memo shared by every continuous session at that memory.
     service_cache: dict = field(default_factory=dict)
     #: ``(memory_mb, size, cold_delay, slowdown) -> (service_time, cost)``.
     cost_cache: dict = field(default_factory=dict)
@@ -1363,11 +1365,13 @@ class ServingEngine:
                       now: float) -> None:
         gen = self.generation_config
         cid = lease.container_id
+        memory_mb = st.active.memory_mb
         sess = ContinuousSession(
             profile=gen.token_profile,
-            memory_mb=st.active.memory_mb,
+            memory_mb=memory_mb,
             batch_size=st.active.batch_size,
             max_batch_tokens=gen.max_batch_tokens,
+            durations=ctx.service_cache.setdefault(memory_mb, {}),
         )
         # The opening step admits from the (non-empty) queue and plans the
         # first prefill; the cold start delays its boundary.

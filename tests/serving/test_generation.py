@@ -133,6 +133,58 @@ class TestTokenLengthModel:
         for i in reversed(range(64)):  # deliberately out of order
             assert model.sample_one(3, i) == (prompts[i], outputs[i])
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("model, n", [
+        (TokenLengthModel(), 5000),
+        # p >= 1/3 takes numpy's search branch; p = 1 always draws 1.
+        (TokenLengthModel(prompt_mean=2.0, prompt_max=3, output_mean=1.0,
+                          output_max=1), 1000),
+        (TokenLengthModel(prompt_mean=8.0, prompt_max=12, output_mean=16.0,
+                          output_max=20), 1000),
+    ], ids=["default", "search-branch", "caps"])
+    def test_sample_matches_numpy_seed_sequence_draws(self, seed, model, n):
+        """The oracle for the vectorized seeding: request ``i`` draws from
+        ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``."""
+        prompts, outputs = model.sample(n, seed)
+        expected_prompts = np.empty(n, dtype=np.int64)
+        expected_outputs = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            )
+            expected_prompts[i] = min(int(rng.geometric(1.0 / model.prompt_mean)),
+                                      model.prompt_max)
+            expected_outputs[i] = min(int(rng.geometric(1.0 / model.output_mean)),
+                                      model.output_max)
+        np.testing.assert_array_equal(prompts, expected_prompts)
+        np.testing.assert_array_equal(outputs, expected_outputs)
+        assert prompts.dtype == np.int64 and outputs.dtype == np.int64
+        if model.prompt_max < 100:
+            assert (prompts == model.prompt_max).any()  # the cap binds
+            assert (outputs == model.output_max).any()
+
+    def test_sample_one_matches_numpy_for_wide_indices(self):
+        model = TokenLengthModel()
+        for index in (0, 2**32 - 1, 2**32, 2**40 + 3):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=5, spawn_key=(index,))
+            )
+            assert model.sample_one(5, index) == (
+                min(int(rng.geometric(1.0 / 128.0)), 4096),
+                min(int(rng.geometric(1.0 / 16.0)), 1024),
+            )
+
+    def test_sample_zero_requests(self):
+        prompts, outputs = TokenLengthModel().sample(0, seed=4)
+        assert prompts.shape == outputs.shape == (0,)
+        assert prompts.dtype == np.int64 and outputs.dtype == np.int64
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TokenLengthModel().sample(3, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            TokenLengthModel().sample_one(-(2**70), 0)
+
     def test_caps_and_minimums(self):
         model = TokenLengthModel(prompt_mean=2.0, prompt_max=4,
                                  output_mean=1.0, output_max=1)
@@ -307,6 +359,36 @@ class TestContinuousDispatcher:
         np.testing.assert_array_equal(fast.tpot, slow.tpot)
         np.testing.assert_array_equal(fast.batch_costs, slow.batch_costs)
         assert fast.gen_sessions == slow.gen_sessions
+        # Everything else too: n_events, every column and gen_* counter.
+        assert_serving_logs_equal(fast, replace(slow, name=fast.name))
+
+    def test_sessions_share_one_run_level_duration_memo(self, monkeypatch):
+        """Every session of a run at one memory size reads and fills the
+        same duration memo, and each memoized value is exactly what a
+        fresh ``ttft``/``tpot`` call returns."""
+        sessions = []
+        step = ContinuousSession.step
+
+        def recording_step(sess, queue):
+            sessions.append(sess)
+            return step(sess, queue)
+
+        monkeypatch.setattr(ContinuousSession, "step", recording_step)
+        log = build_engine(self.generation()).run(poisson_trace(n=800),
+                                                  name="memo")
+        assert log.gen_sessions > 1
+        memos = {id(sess.durations) for sess in sessions}
+        assert len(memos) == 1
+        durations = sessions[0].durations
+        assert any(k < 0 for k in durations) and any(k > 0 for k in durations)
+        profile = self.generation().token_profile
+        for key, duration in durations.items():
+            fresh = (profile.ttft(CONFIG.memory_mb, -key) if key < 0
+                     else profile.tpot(CONFIG.memory_mb, key))
+            assert duration == float(fresh)
+        # A session built on its own still gets a private memo.
+        assert ContinuousSession(profile=profile, memory_mb=2048.0,
+                                 batch_size=4).durations == {}
 
     def test_crash_and_restore_is_bit_identical(self, tmp_path):
         ts = poisson_trace(n=600)
@@ -459,6 +541,12 @@ class TestGenerationConfigSchema:
         with pytest.raises(ValueError):
             GenerationConfig(ttft_slo=0.0)
 
+    def test_negative_seed_rejected_at_construction(self):
+        """Regression: a negative seed used to fail only once ``run()``
+        reached numpy's SeedSequence."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GenerationConfig(seed=-1)
+
 
 # ------------------------------------------------------------------ fleet
 @pytest.mark.fleet
@@ -508,6 +596,7 @@ class TestFleetGeneration:
         np.testing.assert_array_equal(single.latencies, fleet.latencies)
         np.testing.assert_array_equal(single.ttft, fleet.ttft)
         np.testing.assert_array_equal(single.batch_costs, fleet.batch_costs)
+        assert_serving_logs_equal(single, replace(fleet, name=single.name))
 
 
 # --------------------------------------------------------------- surrogate

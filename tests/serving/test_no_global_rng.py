@@ -20,13 +20,15 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 SERVING_DIR = SRC / "serving"
 
 #: Modules outside ``serving/`` that the engine's determinism guarantees
-#: lean on just as hard: the continuous-batching state machine and the
-#: token length/timing models (PR 9). Their randomness must be explicit
+#: lean on just as hard: the continuous-batching state machine, the
+#: token length/timing models, and the vectorized per-request seeding
+#: the length model draws through. Their randomness must be explicit
 #: per-request SeedSequence children, never global state.
 EXTRA_FILES = (
     SRC / "batching" / "continuous.py",
     SRC / "serverless" / "generation.py",
     SRC / "serverless" / "outages.py",
+    SRC / "utils" / "rng.py",
 )
 
 #: Explicit-generator constructors that are allowed through.

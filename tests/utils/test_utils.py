@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_rng, spawn_rngs, spawned_pcg64_states
 from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_finite,
@@ -40,6 +40,50 @@ class TestRng:
     def test_spawn_negative_rejected(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
+
+
+class TestSpawnedPcg64States:
+    """The vectorized seeding against numpy's own per-key construction."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5,
+                                      2**128 + 3, 2**160 + 99])
+    def test_matches_numpy_seed_sequence(self, seed):
+        # Keys of one and of two 32-bit words take separate passes.
+        keys = list(range(40)) + [12345, 2**32 - 1, 2**32, 2**40 + 3,
+                                  2**63 - 1]
+        got = list(spawned_pcg64_states(seed, keys))
+        for key, (state, inc) in zip(keys, got):
+            bitgen = np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(key,))
+            )
+            assert bitgen.state["state"] == {"state": state, "inc": inc}
+
+    def test_setting_the_state_reproduces_the_stream(self):
+        bitgen = np.random.PCG64(0)
+        for key, (state, inc) in enumerate(spawned_pcg64_states(3, range(5))):
+            bitgen.state = {"bit_generator": "PCG64",
+                            "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            fresh = np.random.default_rng(
+                np.random.SeedSequence(entropy=3, spawn_key=(key,))
+            )
+            np.testing.assert_array_equal(
+                np.random.Generator(bitgen).random(8), fresh.random(8)
+            )
+
+    def test_no_keys(self):
+        assert list(spawned_pcg64_states(0, [])) == []
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_entropy_rejected_like_seed_sequence(self, seed):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(entropy=seed)
+        with pytest.raises(ValueError, match="non-negative"):
+            list(spawned_pcg64_states(seed, [0]))
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(spawned_pcg64_states(0, [1, -3]))
 
 
 class TestValidation:
