@@ -59,8 +59,9 @@ bench:
 	$(PYTEST) -q benchmarks
 
 ## All perf floors: the simulation core's speedups (grid sweep >= 3x,
-## batched labeling <= 1.5x serial) and the serving loop's overheads;
-## each test prints its measurements as one JSON line.
+## batched labeling <= 1.5x serial, fused attention >= 1.8x composed) and
+## the serving loop's overheads; each test prints its measurements as one
+## JSON line.
 bench-perf:
 	$(PYTEST) -q -s -m perf benchmarks/test_perf_simcore.py benchmarks/test_perf_serving.py
 

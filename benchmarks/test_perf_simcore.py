@@ -10,6 +10,10 @@
   depends on the host's CPU count, so the only bound is that the batched
   path stays within 1.5× of the per-sample loop; parallel labels are
   asserted bit-identical to serial either way.
+* **Fused attention** — ``scaled_dot_product_attention`` forward plus
+  ``Tensor.backward`` at the training shape (batch 8 × 4 heads × 256 × 256,
+  head width 4), against the composed five-op chain of the attention tests;
+  the bar is ≥ 1.8×.
 
 Run via ``make bench-perf``; each test prints its measurements (requests/sec
 and labels/sec, naive vs fast) as one JSON line.
@@ -29,7 +33,10 @@ from repro.batching.config import config_grid
 from repro.batching.simulator import simulate, simulate_grid
 from repro.core.dataset import generate_dataset, label_window
 from repro.core.features import TargetSpec
+from repro.nn.attention import scaled_dot_product_attention
+from repro.nn.tensor import Tensor
 from repro.serverless.platform import ServerlessPlatform
+from tests.nn.test_attention import composed_attention
 
 pytestmark = pytest.mark.perf
 
@@ -129,3 +136,32 @@ def test_labeling_throughput():
     # labels bit-identical to serial — is the invariant asserted above.
     # Guard only against a pathological slowdown of the batched path.
     assert batched_s <= serial_s * 1.5
+
+
+def test_fused_attention_speedup():
+    """Training-shape attention step: fused kernel vs the composed chain."""
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=(8, 4, 256, 4)) for _ in range(3)]
+
+    def step(sdpa):
+        def run():
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            out, _ = sdpa(q, k, v)
+            out.backward(np.ones_like(out.data))
+        return run
+
+    fused, composed = step(scaled_dot_product_attention), step(composed_attention)
+    fused_s = composed_s = float("inf")
+    for _ in range(5):  # alternate, so a slow spell of the host hits both
+        fused_s = min(fused_s, _best_of(fused)[0])
+        composed_s = min(composed_s, _best_of(composed)[0])
+
+    speedup = composed_s / fused_s
+    payload = {
+        "shape": [8, 4, 256, 4],
+        "fused_ms": round(fused_s * 1e3, 2),
+        "composed_ms": round(composed_s * 1e3, 2),
+        "speedup": round(speedup, 2),
+    }
+    print(f"\nfused attention: {json.dumps(payload)}")
+    assert speedup >= 1.8, f"fused attention only {speedup:.2f}x over composed"

@@ -1,13 +1,17 @@
 """Scaled dot-product and multi-head attention (Eq. 3–4 of the paper).
 
 The implementation follows Vaswani et al. Scaled dot-product attention is
-one tape operation that works in a single score buffer (DESIGN.md §4). The
+one tape operation that works in a single score buffer, one cache-sized
+chunk of (batch, head) slabs at a time (DESIGN.md §4). The
 attention weights of the most recent forward pass are kept on
 :attr:`MultiHeadAttention.last_weights` for the attention-score
 visualizations of Fig. 14.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -17,6 +21,32 @@ from repro.nn.tensor import Tensor
 from repro.utils.rng import as_rng
 
 _NEG_INF = -1e9
+
+#: Bytes of scores one chunk of the kernel works on: one 256×256 float64
+#: slab, so a chunk and its backward scratch stay in L2. Larger budgets
+#: were slower at the batch-8 training shape and no faster at batch 1.
+_CHUNK_BYTES = 512 * 1024
+
+
+def _chunks(lead: tuple[int, ...], slabs: int):
+    """Basic-index tuples that cover the leading dims ``lead`` in row-major
+    order, each selecting at most ``slabs`` whole slabs.
+
+    Trailing lead axes that fit are taken whole; the axis before them is
+    cut in steps; the axes before that are walked one index at a time.
+    Every chunk of one call has the same shape except along its first axis.
+    """
+    inner, axis = 1, len(lead)
+    while axis and inner * lead[axis - 1] <= slabs:
+        axis -= 1
+        inner *= lead[axis]
+    if axis == 0:
+        yield ()
+        return
+    step = slabs // inner
+    for outer in itertools.product(*map(range, lead[: axis - 1])):
+        for a in range(0, lead[axis - 1], step):
+            yield outer + (slice(a, a + step),)
 
 
 def scaled_dot_product_attention(
@@ -29,35 +59,76 @@ def scaled_dot_product_attention(
 
     Shapes: ``q``/``k``/``v`` are ``(..., seq, d)``; ``mask`` broadcasts over
     the score shape ``(..., seq_q, seq_k)`` with ``True`` meaning *blocked*.
+    The leading dims of all four broadcast together.
 
     Returns the attended values and the attention-weight tensor. The
     weights are detached (off the tape): gradients reach ``q``, ``k`` and
-    ``v`` through the attended values only. The forward scales, masks and
-    normalizes the scores in place, and the backward repeats the
-    arithmetic of the composed ``matmul → scale → mask → softmax →
-    matmul`` chain in the same order, so values and gradients are
-    bit-identical to it.
+    ``v`` through the attended values only.
+
+    Forward and backward walk the broadcast leading dims one chunk of whole
+    ``(seq_q, seq_k)`` slabs at a time, at most :data:`_CHUNK_BYTES` of
+    scores per chunk, so each chunk's scores stay in cache from ``q @ kᵀ``
+    to ``@ v``. The forward scales, masks and normalizes each chunk of the
+    one score array in place; the backward reuses one chunk-sized scratch
+    buffer. Each chunk repeats the arithmetic of the composed ``matmul →
+    scale → mask → softmax → matmul`` chain in the same order, so values
+    and gradients are bit-identical to it. The result dtype is that of the
+    inputs, float32 included.
     """
     qd, kd, vd = q.data, k.data, v.data
-    scale = 1.0 / np.sqrt(qd.shape[-1])
-    s = qd @ np.swapaxes(kd, -1, -2)
-    s *= scale
+    (n_q, d), n_k, d_v = qd.shape[-2:], kd.shape[-2], vd.shape[-1]
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        s = np.where(mask, _NEG_INF, s)
-    _softmax_forward(s, -1, out=s)
+    leads = {a.shape[:-2] for a in (qd, kd, vd)}
+    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+    if mask is not None:
+        lead = np.broadcast_shapes(lead, mask.shape[:-2])
+        mask = np.broadcast_to(mask, lead + (n_q, n_k))
+    qb, kb, vb = (
+        a if a.shape[:-2] == lead else np.broadcast_to(a, lead + a.shape[-2:])
+        for a in (qd, kd, vd)
+    )
+    dtype = np.result_type(qd, kd, vd)
+    scale = dtype.type(1.0 / math.sqrt(d))
+    slabs = max(1, _CHUNK_BYTES // max(1, n_q * n_k * dtype.itemsize))
+    chunks = list(_chunks(lead, slabs))
+
+    s = np.empty(lead + (n_q, n_k), dtype)
+    out = np.empty(lead + (n_q, d_v), dtype)
+    for c in chunks:
+        sc = np.matmul(qb[c], np.swapaxes(kb[c], -1, -2), out=s[c])
+        sc *= scale
+        if mask is not None:
+            np.copyto(sc, _NEG_INF, where=mask[c])
+        _softmax_forward(sc, -1, out=sc)
+        np.matmul(sc, vb[c], out=out[c])
 
     def backward(g: np.ndarray) -> None:
-        gs = g @ np.swapaxes(vd, -1, -2)
-        v._accumulate(np.swapaxes(s, -1, -2) @ g)
-        gs = _softmax_backward(s, gs, -1)
-        if mask is not None:
-            gs = np.where(mask, 0.0, gs)
-        gs = gs * scale
-        q._accumulate(gs @ kd)
-        k._accumulate(np.swapaxes(np.swapaxes(qd, -1, -2) @ gs, -1, -2))
+        # Fresh gradient arrays on every call: _accumulate may alias them.
+        # k's gradient is the transpose of a C-contiguous (..., d, n_k)
+        # array, the layout of the composed chain's, so that sums taken of
+        # it downstream add in the same order.
+        dq = np.empty(lead + (n_q, d), dtype)
+        dkt = np.empty(lead + (d, n_k), dtype)
+        dv = np.empty(lead + (n_k, d_v), dtype)
+        scratch = None
+        for c in chunks:
+            sc, gc = s[c], g[c]
+            if scratch is None:
+                scratch = np.empty(sc.shape, dtype)
+            gs = np.matmul(gc, np.swapaxes(vb[c], -1, -2), out=scratch[: len(sc)])
+            np.matmul(np.swapaxes(sc, -1, -2), gc, out=dv[c])
+            _softmax_backward(sc, gs, -1, out=gs)
+            if mask is not None:
+                np.copyto(gs, 0.0, where=mask[c])
+            gs *= scale
+            np.matmul(gs, kb[c], out=dq[c])
+            np.matmul(np.swapaxes(qb[c], -1, -2), gs, out=dkt[c])
+        v._accumulate(dv)
+        q._accumulate(dq)
+        k._accumulate(np.swapaxes(dkt, -1, -2))
 
-    return Tensor._from_op(s @ vd, (q, k, v), backward), Tensor(s)
+    return Tensor._from_op(out, (q, k, v), backward), Tensor(s)
 
 
 class MultiHeadAttention(Module):

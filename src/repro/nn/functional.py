@@ -26,10 +26,19 @@ def _softmax_forward(x: np.ndarray, axis: int, out: np.ndarray | None = None) ->
     return s
 
 
-def _softmax_backward(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax vector-Jacobian product ``s * (g - (g * s).sum(axis))``."""
+def _softmax_backward(
+    s: np.ndarray, g: np.ndarray, axis: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Softmax vector-Jacobian product ``s * (g - (g * s).sum(axis))``,
+    written into ``out``.
+
+    With ``out=None`` the result is a fresh array; ``out=g`` overwrites the
+    caller's buffer (the fused attention op's scratch).
+    """
     dot = (g * s).sum(axis=axis, keepdims=True)
-    return s * (g - dot)
+    r = np.subtract(g, dot, out=out)
+    r *= s
+    return r
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

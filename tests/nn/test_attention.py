@@ -13,8 +13,10 @@ RNG = np.random.default_rng(5)
 
 
 def composed_attention(q, k, v, mask=None):
-    """The unfused reference: one tape node per step of the chain."""
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    """The unfused reference: one tape node per step of the chain. The
+    scale is an array of the inputs' dtype so float32 stays float32."""
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), dtype=q.dtype)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     if mask is not None:
         scores = F.masked_fill(scores, mask, attention._NEG_INF)
     weights = F.softmax(scores, axis=-1)
@@ -144,6 +146,78 @@ class TestFusedMatchesComposed:
     def test_singleton_sequence_fusion_call(self, monkeypatch):
         x0 = np.random.default_rng(12).normal(size=(self.BATCH, self.EMBED))
         self._assert_identical(monkeypatch, x0)
+
+    @pytest.mark.parametrize(
+        "batch, seq, mask_kind",
+        [(3, 300, None), (3, 300, "padding"), (13, 37, None), (13, 37, "3d")],
+    )
+    def test_chunk_boundaries(self, monkeypatch, batch, seq, mask_kind):
+        # seq 300: one 300×300 slab is over the chunk budget, so every chunk
+        # is a single slab. seq 37: 13 × 4 heads is not a multiple of the
+        # slabs per chunk, so the last chunk is a short one.
+        slab_bytes = seq * seq * 8
+        if seq == 300:
+            assert slab_bytes > attention._CHUNK_BYTES
+        else:
+            chunks = list(attention._chunks((batch, 4), attention._CHUNK_BYTES // slab_bytes))
+            assert len(chunks) > 1 and chunks[-1][0].stop > batch
+        rng = np.random.default_rng(13)
+        x0 = rng.normal(size=(batch, seq, self.EMBED))
+        mask = {
+            None: None,
+            "3d": rng.random((batch, seq, seq)) < 0.3,
+            "padding": np.arange(seq)[None, :] >= (seq - np.arange(batch) * 7)[:, None],
+        }[mask_kind]
+        self._assert_identical(monkeypatch, x0, mask)
+
+    @pytest.mark.parametrize(
+        "q_shape, kv_shape, mask_shape, dtype",
+        [
+            ((2, 3, 37, 6), (2, 1, 37, 6), (2, 1, 1, 37), np.float64),  # one k/v head
+            ((37, 6), (37, 6), (37, 37), np.float64),  # 2-D (seq, d)
+            ((2, 3, 37, 6), (37, 6), None, np.float64),  # 2-D k/v under 4-D q
+            ((2, 3, 37, 6), (2, 3, 37, 6), (2, 1, 37, 37), np.float32),
+        ],
+    )
+    def test_direct_call_shapes_and_dtypes(self, q_shape, kv_shape, mask_shape, dtype):
+        rng = np.random.default_rng(14)
+        arrays = [rng.normal(size=s).astype(dtype) for s in (q_shape, kv_shape, kv_shape)]
+        mask = None if mask_shape is None else rng.random(mask_shape) < 0.3
+
+        def run(sdpa):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            out, w = sdpa(q, k, v, mask)
+            (out * out).sum().backward()
+            return out.data, w.data, q.grad, k.grad, v.grad
+
+        for got, want in zip(run(scaled_dot_product_attention), run(composed_attention)):
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_backward_never_reuses_buffers(self):
+        # Tensor._accumulate aliases the gradients of intermediate nodes, so
+        # a backward pass must not write into its upstream gradient, and a
+        # second pass must not hand out the first pass's arrays.
+        rng = np.random.default_rng(15)
+        leaves = [Tensor(rng.normal(size=(2, 3, 37, 6)), requires_grad=True) for _ in range(3)]
+        q, k, v = (t * 1.0 for t in leaves)  # intermediate nodes
+        out, _ = scaled_dot_product_attention(q, k, v)
+        g = rng.normal(size=out.shape)
+        g0 = g.copy()
+        passes = []
+        for _ in range(2):
+            for t in (out, q, k, v, *leaves):
+                t.zero_grad()
+            out.backward(g)
+            grads = (q.grad, k.grad, v.grad)
+            passes.append((grads, [a.copy() for a in grads]))
+        assert np.array_equal(g, g0)
+        (first, first_values), (second, _) = passes
+        for a, b, a0 in zip(first, second, first_values):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, a0)
+            assert np.array_equal(a, b)
 
     def test_weights_are_detached(self):
         q = Tensor(RNG.normal(size=(2, 4, 8)), requires_grad=True)
