@@ -31,6 +31,7 @@ import pytest
 
 from repro.batching.config import BatchConfig
 from repro.serverless.platform import ServerlessPlatform
+from repro.serving.chaos import assert_serving_logs_equal
 from repro.serving.engine import ServingEngine
 from repro.serving.pool import WarmPoolConfig
 
@@ -72,24 +73,6 @@ def _best_of_pair(before_fn, after_fn, repeats: int = 3):
         if was_enabled:
             gc.enable()
     return best["before"], best["after"]
-
-
-def _assert_logs_identical(a, b) -> None:
-    np.testing.assert_array_equal(a.latencies, b.latencies)
-    np.testing.assert_array_equal(a.shed, b.shed)
-    np.testing.assert_array_equal(a.failed, b.failed)
-    np.testing.assert_array_equal(a.dispatch_times, b.dispatch_times)
-    np.testing.assert_array_equal(a.start_times, b.start_times)
-    np.testing.assert_array_equal(a.batch_sizes, b.batch_sizes)
-    np.testing.assert_array_equal(a.batch_costs, b.batch_costs)
-    np.testing.assert_array_equal(a.batch_cold, b.batch_cold)
-    np.testing.assert_array_equal(a.batch_memory, b.batch_memory)
-    np.testing.assert_array_equal(a.batch_retries, b.batch_retries)
-    assert a.n_events == b.n_events
-    assert (a.cold_starts, a.warm_starts, a.expired_containers,
-            a.evicted_containers) == (b.cold_starts, b.warm_starts,
-                                      b.expired_containers,
-                                      b.evicted_containers)
 
 
 def test_prewarm_overhead_bounded():
@@ -208,7 +191,7 @@ def test_outage_disabled_overhead_bounded():
         lambda: run(None, None),
         lambda: run(OutageModel(), DegradeConfig()),
     )
-    _assert_logs_identical(off, disabled)
+    assert_serving_logs_equal(off, disabled)
 
     horizon = float(ts[-1])
     enabled = OutageModel(

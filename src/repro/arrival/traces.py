@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arrival.mmpp import mmpp2_with_burstiness
-from repro.arrival.stats import binned_rate, idc, interarrivals, mean_rate
+from repro.arrival.stats import binned_rate, idc, interarrivals
 from repro.utils.rng import as_rng, spawn_rngs
 
 
@@ -82,9 +82,6 @@ class Trace:
     def idc_series(self) -> np.ndarray:
         """Per-segment IDC (Fig. 5 series)."""
         return np.array([self.segment_idc(i) for i in range(self.n_segments)])
-
-    def overall_rate(self) -> float:
-        return mean_rate(self.timestamps, self.duration)
 
     def split(self, at_segment: int) -> tuple["Trace", "Trace"]:
         """Split into two traces at a segment boundary (train/test split)."""

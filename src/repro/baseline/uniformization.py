@@ -74,9 +74,6 @@ class TransientKernel:
     def order(self) -> int:
         return self.map_.order
 
-    def state_index(self, level: int, phase: int) -> int:
-        return level * self.order + phase
-
     def survival(self) -> np.ndarray:
         """``(K+1, n)`` matrix of P(not yet absorbed by k·h | start state)."""
         return self.kernels.sum(axis=2)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.batching.config import BatchConfig
-from repro.telemetry.events import DispatchEvent
-from repro.telemetry.metrics import get_registry
 
 
 @dataclass(frozen=True)
@@ -159,15 +157,6 @@ class BatchingBuffer:
             arrival_times=np.array(self._pending_times[:count], dtype=float),
             dispatch_time=float(dispatch_time),
         )
-        registry = get_registry()
-        if registry.enabled:
-            # Pending arrivals are in order: the oldest waited longest.
-            registry.record_event(DispatchEvent(
-                batch_size=batch.size,
-                dispatch_time=batch.dispatch_time,
-                max_wait=(batch.dispatch_time - self._pending_times[0]
-                          if count else 0.0),
-            ))
         del self._pending_idx[:count]
         del self._pending_times[:count]
         self._dispatched.append(batch)

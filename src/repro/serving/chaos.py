@@ -12,11 +12,11 @@ oracle:
   leg restores from the snapshot on disk. The crash points come from a
   dedicated ``numpy`` Generator seeded by the caller, so a failing sequence
   is reproducible from its seed.
-* :func:`assert_serving_logs_equal` is the strict comparison: every array
-  bitwise-equal (NaNs aligned), every decision equal, every counter equal.
-  ``decision_time`` is excluded by default because learned controllers
-  measure it with a wall clock — the one field of a run that is *allowed*
-  to differ across processes.
+* :func:`assert_serving_logs_equal` is the strict comparison every
+  equivalence suite uses: every field of the log — arrays bitwise-equal
+  (NaNs aligned), decisions, counters — except ``checkpoints``, and
+  ``decision_time`` by default because learned controllers measure it
+  with a wall clock.
 
 Both are plain library code (no pytest dependency) so the CLI and notebooks
 can run the same drill; ``tests/serving/test_chaos.py`` wires them to the
@@ -26,13 +26,14 @@ can run the same drill; ``tests/serving/test_chaos.py`` wires them to the
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 from typing import Callable
 
 import numpy as np
 
 from repro.serving.checkpoint import SimulatedCrash
 from repro.serving.engine import ServingEngine
-from repro.serving.log import ServingLog
+from repro.serving.log import ServingDecision, ServingLog
 
 __all__ = [
     "SimulatedCrash",
@@ -116,75 +117,52 @@ def assert_serving_logs_equal(
 ) -> None:
     """Assert two :class:`ServingLog`\\ s are bit-identical.
 
+    Every dataclass field is compared, so a field added to the log is
+    covered by default, except ``checkpoints``: a killed and restored run
+    writes more snapshots than one that never crashed. ``decision_time``
+    is skipped unless ``compare_decision_times`` — it is measured with a
+    wall clock, the single legitimately non-deterministic value in a log.
     Raises :class:`AssertionError` naming the first differing field.
-    ``decision_time`` is skipped unless ``compare_decision_times`` — it is
-    measured with a wall clock, the single legitimately non-deterministic
-    value in a log.
     """
-    array_fields = (
-        "arrival_times", "latencies", "shed", "failed", "dispatch_times",
-        "start_times", "batch_sizes", "batch_costs", "batch_cold",
-        "batch_memory", "batch_retries", "batch_cold_delay", "batch_service",
-    )
-    for name in array_fields:
+    for name in (f.name for f in fields(ServingLog)):
+        if name == "checkpoints":
+            continue
         x, y = getattr(a, name), getattr(b, name)
-        if x.shape != y.shape or not np.array_equal(x, y, equal_nan=True):
+        if name == "decisions":
+            _assert_decisions_equal(x, y, compare_decision_times)
+        elif name == "event_trace" and x != y:
+            first = next((i for i, (ea, eb) in enumerate(zip(x or [], y or []))
+                          if ea != eb), None)
+            if first is None:
+                raise AssertionError(
+                    f"ServingLog.{name} lengths differ: "
+                    f"{x if x is None else len(x)} != "
+                    f"{y if y is None else len(y)}"
+                )
+            raise AssertionError(f"ServingLog.{name}[{first}] differs: "
+                                 f"{x[first]!r} != {y[first]!r}")
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or not np.array_equal(x, y,
+                                                            equal_nan=True):
+                raise AssertionError(
+                    f"ServingLog.{name} differs: {x!r} != {y!r}"
+                )
+        elif x != y:
             raise AssertionError(f"ServingLog.{name} differs: {x!r} != {y!r}")
-    optional_array_fields = ("hedged", "failed_over", "ttft", "tpot",
-                             "prompt_tokens", "output_tokens")
-    for name in optional_array_fields:
-        x, y = getattr(a, name), getattr(b, name)
-        if (x is None) != (y is None):
-            raise AssertionError(
-                f"ServingLog.{name} present in one log only"
-            )
-        if x is not None and (
-            x.shape != y.shape or not np.array_equal(x, y, equal_nan=True)
-        ):
-            raise AssertionError(f"ServingLog.{name} differs: {x!r} != {y!r}")
-    scalar_fields = (
-        "name", "trace", "slo", "reconfigurations", "drift_triggers",
-        "prediction_drift_triggers", "retrains", "shed_batches",
-        "cold_starts", "warm_starts", "expired_containers",
-        "evicted_containers", "n_retries", "n_failed", "sequence_length",
-        "n_events", "guardrail_trips", "guardrail_restores",
-        "guardrail_probes", "guardrail_suppressed", "guardrail_state",
-        "outage_denied", "crashed_containers", "crash_requeued",
-        "straggler_batches", "cold_retries", "cold_retry_exhausted",
-        "hedges", "hedge_wins", "hedge_denied", "hedge_cost",
-        "brownout_shed", "failover_batches", "queued_batches",
-        "decision_errors", "ttft_slo", "tpot_slo", "gen_sessions",
-        "gen_prefill_iterations", "gen_decode_iterations", "gen_tokens",
-        "gen_shed",
-    )
-    for name in scalar_fields:
-        x, y = getattr(a, name), getattr(b, name)
-        if x != y:
-            raise AssertionError(f"ServingLog.{name} differs: {x!r} != {y!r}")
-    if len(a.decisions) != len(b.decisions):
+
+
+def _assert_decisions_equal(a: list, b: list, with_times: bool) -> None:
+    if len(a) != len(b):
         raise AssertionError(
-            f"decision counts differ: {len(a.decisions)} != {len(b.decisions)}"
+            f"ServingLog.decisions counts differ: {len(a)} != {len(b)}"
         )
-    for i, (da, db) in enumerate(zip(a.decisions, b.decisions)):
-        fields = ["time", "reason", "config", "degraded", "applied_at",
-                  "predicted_p95"]
-        if compare_decision_times:
-            fields.append("decision_time")
-        for name in fields:
+    names = [f.name for f in fields(ServingDecision)
+             if with_times or f.name != "decision_time"]
+    for i, (da, db) in enumerate(zip(a, b)):
+        for name in names:
             x, y = getattr(da, name), getattr(db, name)
             if x != y:
                 raise AssertionError(
-                    f"decisions[{i}].{name} differs: {x!r} != {y!r}"
+                    f"ServingLog.decisions[{i}].{name} differs: "
+                    f"{x!r} != {y!r}"
                 )
-    if (a.event_trace is None) != (b.event_trace is None):
-        raise AssertionError("one log has an event trace, the other does not")
-    if a.event_trace is not None and a.event_trace != b.event_trace:
-        for i, (ea, eb) in enumerate(zip(a.event_trace, b.event_trace)):
-            if ea != eb:
-                raise AssertionError(
-                    f"event_trace[{i}] differs: {ea!r} != {eb!r}"
-                )
-        raise AssertionError(
-            f"event trace lengths differ: {len(a.event_trace)} != "
-            f"{len(b.event_trace)}"
-        )

@@ -70,10 +70,10 @@ build.
 Telemetry: counters and histograms are published once per run, from the
 finished :class:`ServingLog` (:meth:`ServingLog.publish`) and the buffer's
 dispatched batches (:meth:`BatchingBuffer.publish`), both called by
-``_finish``. The loop itself records only the structured events that
-need a wall-clock stamp (dispatch, shed, reconfigure, guardrail, drift,
-checkpoint) and the ``checkpoint.*`` counters, so an enabled registry
-does not change which loop runs.
+``_finish``. The loop itself records only reconfigure, guardrail and
+checkpoint events and the ``checkpoint.*`` counters; sheds and drift
+triggers reach the report as counters read from the finished log. An
+enabled registry does not change which loop runs.
 """
 
 from __future__ import annotations
@@ -119,10 +119,8 @@ from repro.serving.pool import WarmPool, WarmPoolConfig
 from repro.serving.prewarm import PrewarmPolicy
 from repro.telemetry.events import (
     CheckpointEvent,
-    DriftEvent,
     GuardrailEvent,
     ReconfigureEvent,
-    ShedEvent,
 )
 from repro.telemetry.metrics import get_registry
 from repro.utils.validation import check_sorted
@@ -855,9 +853,10 @@ class ServingEngine:
 
         Runs that checkpoint, journal or chaos-crash keep the stepwise
         loop: snapshots cut at exact event boundaries and the journal wants
-        one entry per event. Telemetry does not: the handlers record the
-        same structured events under either loop, and everything else is
-        published from the finished run.
+        one entry per event. Telemetry does not: the loop records only
+        reconfigure and guardrail events, the same under either loop
+        (checkpoint events come with snapshots, so only the stepwise loop
+        has them), and everything else is published from the finished run.
         """
         ts = st.ts.tolist()
         n = st.n
@@ -1348,11 +1347,6 @@ class ServingEngine:
                 # sheds the arrival; it counts against goodput as a miss.
                 st.shed[i] = True
                 st.counters["gen_shed"] += 1
-                if ctx.registry.enabled:
-                    ctx.registry.record_event(ShedEvent(
-                        time=now, requests=1,
-                        queued_batches=len(st.gen_queue),
-                    ))
                 if st.trace is not None or ctx.journal is not None:
                     self._emit(st, ctx, ("shed", now, 1))
                 return
@@ -1476,11 +1470,6 @@ class ServingEngine:
         if limit is not None and len(st.queue) >= limit:
             st.shed[batch.first_index:batch.first_index + batch.size] = True
             st.counters["shed_batches"] += 1
-            if ctx.registry.enabled:
-                ctx.registry.record_event(ShedEvent(
-                    time=now, requests=batch.size,
-                    queued_batches=len(st.queue),
-                ))
             if st.trace is not None or ctx.journal is not None:
                 self._emit(st, ctx, ("shed", now, batch.size))
             return
@@ -1672,7 +1661,6 @@ class ServingEngine:
     def _check_drift(self, st: _RunState, ctx: _RunContext, now: float) -> None:
         if now < st.cooldown_until:
             return
-        registry = ctx.registry
         dc = self.drift_config
         pc = self.prediction_config
         detector = dc.detector
@@ -1688,10 +1676,6 @@ class ServingEngine:
             if score >= detector.threshold:
                 st.counters["drift"] += 1
                 st.cooldown_until = now + dc.cooldown_s
-                if registry.enabled:
-                    registry.record_event(DriftEvent(
-                        time=now, detector="workload", score=score
-                    ))
                 self._emit(st, ctx, ("drift", now, "workload", round(score, 9)))
                 self._trigger_decision(st, now, "drift")
                 if dc.retrain_delay_s is not None and not st.retrain_pending:
@@ -1710,10 +1694,6 @@ class ServingEngine:
                 if prediction_drift(error, pc.baseline_error, pc.tolerance):
                     st.counters["pred_drift"] += 1
                     st.cooldown_until = now + dc.cooldown_s
-                    if registry.enabled:
-                        registry.record_event(DriftEvent(
-                            time=now, detector="prediction", score=error
-                        ))
                     self._emit(st, ctx, ("drift", now, "prediction",
                                          round(error, 9)))
                     self._trigger_decision(st, now, "prediction-drift")

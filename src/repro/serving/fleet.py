@@ -61,7 +61,6 @@ from repro.serving.engine import _P_DECISION, ServingEngine, _RunContext
 from repro.serving.guardrail import GuardrailConfig
 from repro.serving.log import ServingLog
 from repro.serving.pool import WarmPool, WarmPoolConfig
-from repro.telemetry.events import ShedEvent
 from repro.telemetry.metrics import get_registry
 from repro.utils.validation import check_sorted
 
@@ -855,11 +854,6 @@ class FleetEngine:
             st.counters["brownout_shed"] = (
                 st.counters.get("brownout_shed", 0) + batch.size
             )
-            if ctx.registry.enabled:
-                ctx.registry.record_event(ShedEvent(
-                    time=now, requests=batch.size,
-                    queued_batches=len(st.queue),
-                ))
             if st.trace is not None or ctx.journal is not None:
                 eng._emit(st, ctx, ("brownout_shed", now, batch.size))
             total -= 1

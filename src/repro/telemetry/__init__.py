@@ -3,8 +3,9 @@
 Four pieces: :mod:`~repro.telemetry.metrics` (counters, gauges, streaming
 histograms, and the :class:`MetricsRegistry` sink), :mod:`~repro.telemetry.
 tracing` (nested wall-clock spans), :mod:`~repro.telemetry.events`
-(structured decision/dispatch/violation/segment records), and
-:mod:`~repro.telemetry.export` (JSONL round-trip plus an ASCII dashboard).
+(structured decision/violation/segment and serving control-plane
+records), and :mod:`~repro.telemetry.export` (JSONL round-trip plus an
+ASCII dashboard).
 
 The default registry is a no-op, so the instrumentation wired through the
 controllers, simulator, buffer, trainer, and harness costs (near) nothing
@@ -15,13 +16,10 @@ unless a real registry is installed with :func:`set_registry` /
 from repro.telemetry.events import (
     CheckpointEvent,
     DecisionEvent,
-    DispatchEvent,
-    DriftEvent,
     GuardrailEvent,
     ReconfigureEvent,
     RetryEvent,
     SegmentEvent,
-    ShedEvent,
     TelemetryEvent,
     ViolationEvent,
     event_from_record,
@@ -44,8 +42,6 @@ __all__ = [
     "Counter",
     "CheckpointEvent",
     "DecisionEvent",
-    "DispatchEvent",
-    "DriftEvent",
     "GuardrailEvent",
     "Gauge",
     "Histogram",
@@ -57,7 +53,6 @@ __all__ = [
     "ReconfigureEvent",
     "RetryEvent",
     "SegmentEvent",
-    "ShedEvent",
     "Span",
     "SpanRecord",
     "TelemetryEvent",

@@ -6,7 +6,6 @@ dump round-trips losslessly:
 
 * :class:`DecisionEvent` — one controller optimization round (who decided,
   the chosen ``(M, B, T)``, how long it took, what it predicted);
-* :class:`DispatchEvent` — one batch leaving the online buffer;
 * :class:`ViolationEvent` — a served segment whose observed tail latency
   exceeded the SLO;
 * :class:`SegmentEvent` — the per-segment scorecard the evaluation harness
@@ -15,14 +14,14 @@ dump round-trips losslessly:
   (retries, timeouts, failed batches/requests, throttle rejections);
 * :class:`ReconfigureEvent` — the serving runtime applied a new ``(M, B,
   T)`` after its deploy lag;
-* :class:`DriftEvent` — a drift detector (workload envelope or surrogate
-  prediction error) fired and triggered an out-of-band decision;
-* :class:`ShedEvent` — admission control dropped a batch because the
-  warm pool and its queue were exhausted;
 * :class:`GuardrailEvent` — the SLO circuit breaker changed state
   (tripped to the fallback config, half-open probe, restored);
 * :class:`CheckpointEvent` — the serving runtime wrote a crash-safe
   snapshot of its state.
+
+The serving loop records only the last three. Sheds and drift triggers
+are counted, not recorded: ``ServingLog.publish`` reads them from the
+finished run, as it does every other serving counter.
 """
 
 from __future__ import annotations
@@ -58,17 +57,6 @@ class DecisionEvent(TelemetryEvent):
     predicted_cost: float | None = None
     predicted_p95: float | None = None
     feasible: bool | None = None
-
-
-@dataclass(frozen=True)
-class DispatchEvent(TelemetryEvent):
-    """One batch dispatched by the online buffer."""
-
-    kind: ClassVar[str] = "dispatch"
-
-    batch_size: int
-    dispatch_time: float
-    max_wait: float
 
 
 @dataclass(frozen=True)
@@ -134,28 +122,6 @@ class ReconfigureEvent(TelemetryEvent):
 
 
 @dataclass(frozen=True)
-class DriftEvent(TelemetryEvent):
-    """A drift detector fired in the live serving loop."""
-
-    kind: ClassVar[str] = "drift"
-
-    time: float
-    detector: str  # "workload" (envelope) or "prediction" (surrogate error)
-    score: float
-
-
-@dataclass(frozen=True)
-class ShedEvent(TelemetryEvent):
-    """Admission control dropped a dispatched batch (pool exhausted)."""
-
-    kind: ClassVar[str] = "shed"
-
-    time: float
-    requests: int
-    queued_batches: int
-
-
-@dataclass(frozen=True)
 class GuardrailEvent(TelemetryEvent):
     """The SLO guardrail's circuit breaker changed state."""
 
@@ -185,9 +151,8 @@ class CheckpointEvent(TelemetryEvent):
 EVENT_TYPES: dict[str, type[TelemetryEvent]] = {
     cls.kind: cls
     for cls in (
-        DecisionEvent, DispatchEvent, ViolationEvent, SegmentEvent, RetryEvent,
-        ReconfigureEvent, DriftEvent, ShedEvent, GuardrailEvent,
-        CheckpointEvent,
+        DecisionEvent, ViolationEvent, SegmentEvent, RetryEvent,
+        ReconfigureEvent, GuardrailEvent, CheckpointEvent,
     )
 }
 

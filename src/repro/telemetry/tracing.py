@@ -34,15 +34,6 @@ class SpanRecord:
         record["type"] = "span"
         return record
 
-    @classmethod
-    def from_record(cls, record: dict) -> "SpanRecord":
-        return cls(
-            name=record["name"],
-            parent=record.get("parent"),
-            start=float(record.get("start", 0.0)),
-            duration=float(record.get("duration", 0.0)),
-        )
-
 
 class Span:
     """A live span; use as a context manager (created by the registry)."""

@@ -6,7 +6,12 @@ points drawn from a seeded generator, multiple crashes per run, faults and
 the guardrail in the mix — and assert the completed run is bit-identical
 to one that never crashed. Marked ``chaos`` (``make test-chaos``) on top
 of the ``serving`` marker; they stay in tier-1 because they are fast.
+
+``TestLogEquality`` mutation-tests the oracle itself: perturbing any one
+:class:`ServingLog` field must make it fail and name that field.
 """
+
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ColdStartModel
 from repro.serving import (
     GuardrailConfig,
+    ServingDecision,
     ServingEngine,
+    ServingLog,
     WarmPoolConfig,
     assert_serving_logs_equal,
     run_with_crashes,
@@ -112,3 +119,86 @@ class TestChaos:
         )
         assert crashes == []
         assert_serving_logs_equal(baseline, log)
+
+
+def perturbed(value):
+    """A value of a log or decision field that differs from ``value``."""
+    if value is None:
+        return np.zeros(1)
+    if isinstance(value, np.ndarray):
+        if value.size == 0:
+            return np.zeros(1, dtype=value.dtype)
+        out = value.copy()
+        first = out.flat[0]
+        if out.dtype == bool:
+            out.flat[0] = not first
+        else:
+            out.flat[0] = 0 if np.isnan(first) else first + 1
+        return out
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-"
+    if is_dataclass(value):
+        return replace(value, batch_size=value.batch_size + 1)
+    if isinstance(value, list):
+        return [("perturbed",), *value[1:]]
+    raise TypeError(f"no perturbation for {value!r}")
+
+
+@pytest.fixture(scope="module")
+def seeded_log():
+    log = build_engine(faults=True).run(trace(n=400), record_trace=True)
+    assert log.decisions and log.event_trace
+    return log
+
+
+class TestLogEquality:
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in fields(ServingLog)
+         if f.name not in ("checkpoints", "decisions")],
+    )
+    def test_every_field_is_compared(self, seeded_log, name):
+        changed = replace(seeded_log,
+                          **{name: perturbed(getattr(seeded_log, name))})
+        with pytest.raises(AssertionError, match=rf"ServingLog\.{name}\b"):
+            assert_serving_logs_equal(seeded_log, changed)
+        # An array or a trace present in one log only.
+        if isinstance(getattr(seeded_log, name), (np.ndarray, list)):
+            with pytest.raises(AssertionError,
+                               match=rf"ServingLog\.{name}\b"):
+                assert_serving_logs_equal(seeded_log,
+                                          replace(seeded_log, **{name: None}))
+
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in fields(ServingDecision)
+         if f.name != "decision_time"],
+    )
+    def test_every_decision_field_is_compared(self, seeded_log, name):
+        first = seeded_log.decisions[0]
+        decisions = [replace(first, **{name: perturbed(getattr(first, name))}),
+                     *seeded_log.decisions[1:]]
+        changed = replace(seeded_log, decisions=decisions)
+        with pytest.raises(AssertionError,
+                           match=rf"ServingLog\.decisions\[0\]\.{name}\b"):
+            assert_serving_logs_equal(seeded_log, changed)
+
+    def test_decision_count_is_compared(self, seeded_log):
+        changed = replace(seeded_log, decisions=seeded_log.decisions[:-1])
+        with pytest.raises(AssertionError, match=r"ServingLog\.decisions"):
+            assert_serving_logs_equal(seeded_log, changed)
+
+    def test_checkpoints_and_decision_times_may_differ(self, seeded_log):
+        first = seeded_log.decisions[0]
+        decisions = [replace(first, decision_time=first.decision_time + 1.0),
+                     *seeded_log.decisions[1:]]
+        changed = replace(seeded_log, decisions=decisions,
+                          checkpoints=seeded_log.checkpoints + 3)
+        assert_serving_logs_equal(seeded_log, changed)
+        with pytest.raises(AssertionError, match=r"decision_time"):
+            assert_serving_logs_equal(seeded_log, changed,
+                                      compare_decision_times=True)

@@ -14,7 +14,11 @@ from repro.core.types import Decision
 from repro.serverless.faults import FaultModel
 from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ColdStartModel
-from repro.serving import ServingEngine, ServingLog, WarmPoolConfig
+from repro.serving import (
+    ServingEngine,
+    WarmPoolConfig,
+    assert_serving_logs_equal,
+)
 
 pytestmark = pytest.mark.serving
 
@@ -61,33 +65,6 @@ def build_engine(seed=123, faults=False):
     )
 
 
-def assert_logs_identical(a: ServingLog, b: ServingLog):
-    np.testing.assert_array_equal(a.arrival_times, b.arrival_times)
-    np.testing.assert_array_equal(a.latencies, b.latencies)
-    np.testing.assert_array_equal(a.shed, b.shed)
-    np.testing.assert_array_equal(a.dispatch_times, b.dispatch_times)
-    np.testing.assert_array_equal(a.start_times, b.start_times)
-    np.testing.assert_array_equal(a.failed, b.failed)
-    np.testing.assert_array_equal(a.batch_sizes, b.batch_sizes)
-    np.testing.assert_array_equal(a.batch_costs, b.batch_costs)
-    np.testing.assert_array_equal(a.batch_memory, b.batch_memory)
-    np.testing.assert_array_equal(a.batch_cold, b.batch_cold)
-    np.testing.assert_array_equal(a.batch_retries, b.batch_retries)
-    assert a.cold_starts == b.cold_starts
-    assert a.warm_starts == b.warm_starts
-    assert a.expired_containers == b.expired_containers
-    assert a.evicted_containers == b.evicted_containers
-    assert a.n_retries == b.n_retries
-    assert a.n_failed == b.n_failed
-    assert a.reconfigurations == b.reconfigurations
-    assert len(a.decisions) == len(b.decisions)
-    for da, db in zip(a.decisions, b.decisions):
-        assert da.time == db.time
-        assert da.reason == db.reason
-        assert da.config == db.config
-        assert da.applied_at == db.applied_at
-
-
 class TestDeterminism:
     def test_same_inputs_same_event_trace(self):
         ts = trace()
@@ -97,7 +74,7 @@ class TestDeterminism:
         assert len(a.event_trace) == len(b.event_trace)
         for ea, eb in zip(a.event_trace, b.event_trace):
             assert ea == eb
-        assert_logs_identical(a, b)
+        assert_serving_logs_equal(a, b)
 
     def test_same_seed_same_faults(self):
         ts = trace()
@@ -106,7 +83,7 @@ class TestDeterminism:
         # Faults actually fired, and identically so.
         assert a.n_retries > 0
         assert a.event_trace == b.event_trace
-        assert_logs_identical(a, b)
+        assert_serving_logs_equal(a, b)
 
     def test_different_seed_different_faults(self):
         ts = trace()
@@ -121,7 +98,7 @@ class TestDeterminism:
         a = engine.run(ts, record_trace=True)
         b = engine.run(ts, record_trace=True)
         assert a.event_trace == b.event_trace
-        assert_logs_identical(a, b)
+        assert_serving_logs_equal(a, b)
 
     def test_trace_is_opt_in(self):
         log = build_engine().run(trace(n=200))

@@ -22,7 +22,11 @@ from repro.core.types import Decision
 from repro.serverless.faults import FaultModel
 from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ColdStartModel
-from repro.serving import ServingEngine, WarmPoolConfig
+from repro.serving import (
+    ServingEngine,
+    WarmPoolConfig,
+    assert_serving_logs_equal,
+)
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
 pytestmark = pytest.mark.serving
@@ -67,27 +71,6 @@ def build_engine(seed=123, faults=False):
     )
 
 
-def assert_logs_identical(a, b):
-    np.testing.assert_array_equal(a.latencies, b.latencies)
-    np.testing.assert_array_equal(a.shed, b.shed)
-    np.testing.assert_array_equal(a.failed, b.failed)
-    np.testing.assert_array_equal(a.dispatch_times, b.dispatch_times)
-    np.testing.assert_array_equal(a.start_times, b.start_times)
-    np.testing.assert_array_equal(a.batch_sizes, b.batch_sizes)
-    np.testing.assert_array_equal(a.batch_costs, b.batch_costs)
-    np.testing.assert_array_equal(a.batch_cold, b.batch_cold)
-    np.testing.assert_array_equal(a.batch_memory, b.batch_memory)
-    np.testing.assert_array_equal(a.batch_retries, b.batch_retries)
-    assert a.event_trace == b.event_trace
-    assert a.n_events == b.n_events
-    assert a.reconfigurations == b.reconfigurations
-    assert len(a.decisions) == len(b.decisions)
-    assert (a.cold_starts, a.warm_starts, a.expired_containers,
-            a.evicted_containers, a.n_retries, a.n_failed) == (
-        b.cold_starts, b.warm_starts, b.expired_containers,
-        b.evicted_containers, b.n_retries, b.n_failed)
-
-
 def published(registry):
     """Counter and histogram records, minus the stepwise loop's own
     ``checkpoint.*`` counters."""
@@ -110,7 +93,7 @@ class TestFastEqualsStepwise:
             slow = build_engine(seed=7, faults=faults).run(
                 ts, record_trace=True, checkpoint_path=tmp_path / "run.ckpt",
             )
-        assert_logs_identical(fast, slow)
+        assert_serving_logs_equal(fast, slow)
         assert (published(fast_registry) == published(slow_registry)
                 != [])
 
@@ -136,7 +119,7 @@ class TestHotPathMicroFixes:
         ts = trace(seed=11)
         a = build_engine(seed=3, faults=faults).run(ts, record_trace=True)
         b = build_engine(seed=3, faults=faults).run(ts, record_trace=True)
-        assert_logs_identical(a, b)
+        assert_serving_logs_equal(a, b)
 
     def test_retrain_invalidates_service_memo(self):
         # A retrain hook that changes the service profile must take effect

@@ -9,6 +9,9 @@ file pins that contract three ways:
   in-loop counting used to disagree with the log (straggler batches that
   later crash, the buffer dispatcher's prefill/decode iterations, and
   generation requests counted at start instead of at arrival);
+* the loop records only reconfigure, guardrail and checkpoint events: a
+  run that sheds and fires the drift trigger reports both through its
+  counters, and a static run records no event at all;
 * a kill/restore drill counts every request once: crashed legs publish
   nothing, the completed leg publishes the log — counters and histograms
   alike;
@@ -16,15 +19,19 @@ file pins that contract three ways:
   ``repro.serving``: only ``checkpoint.*`` and the ``publish`` functions
   of ``ServingLog`` and ``FleetLog`` may create counters; and it keeps
   ``.histogram(...)`` calls out of ``repro.serving`` and the batching
-  buffer except in their ``publish`` functions.
+  buffer except in their ``publish`` functions; and it lets their
+  ``.record_event(...)`` calls build only reconfigure, guardrail and
+  checkpoint events.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.drift import WorkloadDriftDetector
 from repro.serverless.generation import TokenLengthModel
 from repro.serverless.platform import ServerlessPlatform
 from repro.serving import (
@@ -33,7 +40,8 @@ from repro.serving import (
     WarmPoolConfig,
     run_with_crashes,
 )
-from repro.serving.config import GenerationConfig
+from repro.serving.config import DriftConfig, GenerationConfig
+from repro.telemetry.export import render_dashboard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from tests.serving.test_fleet_drive_equivalence import run_scheduled
 from tests.serving.test_golden_digests import (
@@ -233,6 +241,41 @@ class TestCountersMatchLog:
                                                                  errors)
 
 
+class TestLoopEvents:
+    def test_shed_and_drift_reach_the_report_as_counters(self):
+        detector = WorkloadDriftDetector().fit(
+            np.diff(poisson(100.0, 2000, 9)), 32
+        )
+        calm = poisson(100.0, 800, 4)
+        ts = np.concatenate([calm, calm[-1] + poisson(500.0, 1500, 5)])
+        with use_registry(MetricsRegistry()) as registry:
+            log = ServingEngine(
+                CONFIG, platform=ServerlessPlatform(seed=4),
+                chooser=AlternatingChooser(), decision_interval_s=1.0,
+                min_history=16,
+                pool=WarmPoolConfig(max_containers=1, max_queued_batches=0),
+                drift=DriftConfig(detector=detector, window=32,
+                                  check_every=16, cooldown_s=2.0),
+            ).run(ts)
+        assert log.shed_batches > 0 and log.drift_triggers > 0
+        kinds = {event.kind for _offset, event in registry.events}
+        assert kinds and kinds <= {"reconfigure", "guardrail", "checkpoint"}
+        dashboard = render_dashboard(registry)
+
+        def row(label):
+            return int(re.search(rf"^{label} +\| (\d+)", dashboard,
+                                 re.MULTILINE).group(1))
+
+        assert row("shed batches") == log.shed_batches
+        assert row("workload-drift triggers") == log.drift_triggers
+
+    def test_static_run_records_no_events(self):
+        with use_registry(MetricsRegistry()) as registry:
+            log = run_plain()
+        assert log.n_requests > 0
+        assert registry.events == []
+
+
 class TestCrashRestoreCountsOnce:
     def test_each_request_counted_once(self, tmp_path):
         def drill():
@@ -318,6 +361,8 @@ class TestHistogramsMatchLog:
 # -------------------------------------------------------------------- lint
 #: Counter names ``repro.serving`` may create outside a publish function.
 ALLOWED_PREFIXES = ("checkpoint.",)
+#: The only events the serving loop and the batching buffer may record.
+LOOP_EVENTS = ("ReconfigureEvent", "GuardrailEvent", "CheckpointEvent")
 
 
 def counter_calls(path: Path, attr: str = "counter"):
@@ -343,6 +388,17 @@ def counter_calls(path: Path, attr: str = "counter"):
 
     walk(tree, None)
     return found
+
+
+def unexpected_events(path: Path) -> list[int]:
+    """Lines of ``.record_event(...)`` calls in ``path`` whose argument is
+    not a direct construction of one of :data:`LOOP_EVENTS`."""
+    return [
+        lineno for lineno, arg, _func in counter_calls(path, "record_event")
+        if not (isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Name)
+                and arg.func.id in LOOP_EVENTS)
+    ]
 
 
 class TestNoDataPlaneCounters:
@@ -403,3 +459,25 @@ class TestNoDataPlaneCounters:
             (2, "_on_arrival"), (3, "_on_arrival"),
         ]
         assert not isinstance(calls[0][1], ast.Constant)
+
+    def test_loop_records_only_control_plane_events(self):
+        offenders = [
+            f"{path.name}:{lineno}"
+            for path in [*sorted(SERVING_DIR.glob("*.py")), BUFFER_PATH]
+            for lineno in unexpected_events(path)
+        ]
+        assert not offenders, (
+            "the serving loop records only reconfigure, guardrail and "
+            "checkpoint events; sheds, drift triggers and dispatches are "
+            f"counted from the finished log. Found at {offenders}"
+        )
+
+    def test_lint_sees_a_loop_event(self, tmp_path):
+        bad = tmp_path / "engine.py"
+        bad.write_text(
+            "def _enqueue_or_shed(self, ctx, event):\n"
+            "    ctx.registry.record_event(ShedEvent(time=0.0))\n"
+            "    ctx.registry.record_event(ReconfigureEvent(time=0.0))\n"
+            "    ctx.registry.record_event(event)\n"
+        )
+        assert unexpected_events(bad) == [2, 4]

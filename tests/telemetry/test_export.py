@@ -5,7 +5,7 @@ import pytest
 
 from repro.telemetry.events import (
     DecisionEvent,
-    DispatchEvent,
+    ReconfigureEvent,
     SegmentEvent,
     ViolationEvent,
     event_from_record,
@@ -27,7 +27,11 @@ def populated_registry() -> MetricsRegistry:
         decision_time=0.002, predicted_cost=1.5, predicted_p95=0.08,
         feasible=True,
     ))
-    reg.record_event(DispatchEvent(batch_size=4, dispatch_time=1.0, max_wait=0.01))
+    reg.record_event(ReconfigureEvent(
+        time=1.0, reason="interval", memory_mb=2048.0, batch_size=16,
+        timeout=0.02, old_memory_mb=1024.0, old_batch_size=8,
+        old_timeout=0.05, lag=0.25,
+    ))
     reg.record_event(SegmentEvent(
         segment=1, n_requests=900, p95=0.09, cost_per_request=2e-6,
         vcr=3.0, mean_decision_time=0.002, slo=0.1, controller="DeepBATController",
