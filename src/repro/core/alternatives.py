@@ -23,7 +23,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.layers import FeedForward, Module
 from repro.nn.recurrent import GRU, LSTM
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import DTYPE, Tensor, no_grad
 from repro.utils.rng import as_rng
 
 
@@ -31,8 +31,8 @@ def _predict(self: Module, sequence: np.ndarray, features: np.ndarray) -> np.nda
     """Eval-mode, tape-free forward on raw arrays; one window is tiled
     over a grid of feature rows. Shared as ``predict`` by both models."""
     self.eval()
-    seq = np.atleast_2d(np.asarray(sequence, dtype=float))
-    feats = np.atleast_2d(np.asarray(features, dtype=float))
+    seq = np.atleast_2d(np.asarray(sequence, dtype=DTYPE))
+    feats = np.atleast_2d(np.asarray(features, dtype=DTYPE))
     if seq.shape[0] == 1 and feats.shape[0] > 1:
         seq = np.broadcast_to(seq, (feats.shape[0], seq.shape[1]))
     with no_grad():
@@ -77,6 +77,7 @@ class RecurrentSurrogate(Module):
             raise ValueError(
                 f"sequence must be (batch, {self.seq_len}), got {sequence.shape}"
             )
+        sequence, features = sequence.astype(DTYPE), features.astype(DTYPE)
         batch = sequence.shape[0]
         e_seq = self.seq_embed(sequence.reshape(batch, self.seq_len, 1))
         states = self.rnn(e_seq)
@@ -127,7 +128,7 @@ class MLPSurrogate(Module):
         self.net = FeedForward(self.N_SUMMARY + n_features, hidden, n_outputs, seed=rng)
 
     def forward(self, sequence: Tensor, features: Tensor) -> Tensor:
-        stats = Tensor(summary_statistics(sequence.data))
-        return self.net(F.concat([stats, features], axis=-1))
+        stats = Tensor(summary_statistics(sequence.data).astype(DTYPE))
+        return self.net(F.concat([stats, features.astype(DTYPE)], axis=-1))
 
     predict = _predict

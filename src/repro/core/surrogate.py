@@ -24,7 +24,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import FeedForward, Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import DTYPE, Tensor, no_grad
 from repro.nn.transformer import PositionalEncoding, TransformerEncoder
 from repro.utils.rng import as_rng
 
@@ -89,7 +89,8 @@ class DeepBATSurrogate(Module):
         """Predict O for scaled inputs.
 
         ``sequence``: (batch, seq_len) scaled inter-arrival windows;
-        ``features``: (batch, n_features) standardized (M, B, T).
+        ``features``: (batch, n_features) standardized (M, B, T). Both are
+        cast to the model dtype here, so the whole pass runs in it.
         """
         if sequence.ndim != 2 or sequence.shape[1] != self.seq_len:
             raise ValueError(
@@ -99,6 +100,7 @@ class DeepBATSurrogate(Module):
             raise ValueError(
                 f"features must be (batch, {self.n_features}), got {features.shape}"
             )
+        sequence, features = sequence.astype(DTYPE), features.astype(DTYPE)
         batch = sequence.shape[0]
         e_seq = self.seq_embed(sequence.reshape(batch, self.seq_len, 1))  # Eq. 1
         e_pos = self.pos_enc(e_seq)
@@ -111,8 +113,8 @@ class DeepBATSurrogate(Module):
     # --------------------------------------------------------- conveniences
     def predict(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Eval-mode forward on raw arrays; returns a NumPy array."""
-        seq = np.atleast_2d(np.asarray(sequence, dtype=float))
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
+        seq = np.atleast_2d(np.asarray(sequence, dtype=DTYPE))
+        feats = np.atleast_2d(np.asarray(features, dtype=DTYPE))
         if seq.shape[0] == 1 and feats.shape[0] > 1:
             return self.predict_grid(seq[0], feats)
         self.eval()
@@ -128,10 +130,10 @@ class DeepBATSurrogate(Module):
         identical to tiling the window through :meth:`forward`.
         """
         self.eval()
-        seq = np.asarray(sequence, dtype=float).reshape(1, -1)
+        seq = np.asarray(sequence, dtype=DTYPE).reshape(1, -1)
         if seq.shape[1] != self.seq_len:
             raise ValueError(f"sequence must have length {self.seq_len}")
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
+        feats = np.atleast_2d(np.asarray(features, dtype=DTYPE))
         n = feats.shape[0]
         with no_grad():
             e_seq = self.seq_embed(Tensor(seq.reshape(1, self.seq_len, 1)))
@@ -150,7 +152,7 @@ class DeepBATSurrogate(Module):
         over layers and heads, normalized to sum to 1.
         """
         self.eval()
-        raw = np.asarray(sequence, dtype=float)
+        raw = np.asarray(sequence, dtype=DTYPE)
         seq = np.atleast_2d(raw)
         batch = seq.shape[0]
         with no_grad():

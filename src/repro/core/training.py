@@ -73,9 +73,8 @@ class TrainedSurrogate:
 
     def predict(self, sequence: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Predict targets [cost per 1M, percentiles] for raw inputs."""
-        seq = np.atleast_2d(np.asarray(sequence, dtype=float))
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
-        seq_s, feats_s = self.pipeline.transform(seq, feats)
+        seq_s, feats_s = self.pipeline.transform(np.atleast_2d(sequence),
+                                                 np.atleast_2d(features))
         return self.model.predict(seq_s, feats_s)
 
     def scale_features(self, features: np.ndarray) -> np.ndarray:
@@ -94,8 +93,7 @@ class TrainedSurrogate:
         standardize it once via :meth:`scale_features` and skip the
         per-call transform; sequence scaling still runs per window.
         """
-        seq = np.atleast_2d(np.asarray(sequence, dtype=float))
-        seq_s = self.pipeline.sequence.transform(seq)
+        seq_s = self.pipeline.sequence.transform(np.atleast_2d(sequence))
         return self.model.predict(seq_s, np.atleast_2d(features_scaled))
 
 

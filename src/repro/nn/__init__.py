@@ -29,7 +29,7 @@ from repro.nn.losses import (
 from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
 from repro.nn.recurrent import GRU, LSTM
 from repro.nn.serialization import load_state, save_state
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import DTYPE, Tensor, no_grad
 from repro.nn.transformer import (
     PositionalEncoding,
     TransformerEncoder,
@@ -38,6 +38,7 @@ from repro.nn.transformer import (
 )
 
 __all__ = [
+    "DTYPE",
     "GRU",
     "LSTM",
     "SGD",

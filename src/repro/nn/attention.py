@@ -22,9 +22,10 @@ from repro.utils.rng import as_rng
 
 _NEG_INF = -1e9
 
-#: Bytes of scores one chunk of the kernel works on: one 256×256 float64
-#: slab, so a chunk and its backward scratch stay in L2. Larger budgets
-#: were slower at the batch-8 training shape and no faster at batch 1.
+#: Bytes of scores one chunk of the kernel works on: two 256×256 float32
+#: slabs, so a chunk and its backward scratch stay in L2. Larger budgets
+#: were slower at the batch-8 training shape and no faster at batch 1;
+#: 256 KB (one float32 slab) timed the same as this at both.
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -69,8 +70,8 @@ def scaled_dot_product_attention(
     ``(seq_q, seq_k)`` slabs at a time, at most :data:`_CHUNK_BYTES` of
     scores per chunk, so each chunk's scores stay in cache from ``q @ kᵀ``
     to ``@ v``. The forward scales, masks and normalizes each chunk of the
-    one score array in place; the backward reuses one chunk-sized scratch
-    buffer. Each chunk repeats the arithmetic of the composed ``matmul →
+    one score array in place; the backward reuses two chunk-sized scratch
+    buffers. Each chunk repeats the arithmetic of the composed ``matmul →
     scale → mask → softmax → matmul`` chain in the same order, so values
     and gradients are bit-identical to it. The result dtype is that of the
     inputs, float32 included.
@@ -111,14 +112,14 @@ def scaled_dot_product_attention(
         dq = np.empty(lead + (n_q, d), dtype)
         dkt = np.empty(lead + (d, n_k), dtype)
         dv = np.empty(lead + (n_k, d_v), dtype)
-        scratch = None
+        scratch = prod = None
         for c in chunks:
             sc, gc = s[c], g[c]
             if scratch is None:
-                scratch = np.empty(sc.shape, dtype)
+                scratch, prod = np.empty((2,) + sc.shape, dtype)
             gs = np.matmul(gc, np.swapaxes(vb[c], -1, -2), out=scratch[: len(sc)])
             np.matmul(np.swapaxes(sc, -1, -2), gc, out=dv[c])
-            _softmax_backward(sc, gs, -1, out=gs)
+            _softmax_backward(sc, gs, -1, out=gs, prod=prod[: len(sc)])
             if mask is not None:
                 np.copyto(gs, 0.0, where=mask[c])
             gs *= scale

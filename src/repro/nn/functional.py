@@ -27,15 +27,20 @@ def _softmax_forward(x: np.ndarray, axis: int, out: np.ndarray | None = None) ->
 
 
 def _softmax_backward(
-    s: np.ndarray, g: np.ndarray, axis: int, out: np.ndarray | None = None
+    s: np.ndarray,
+    g: np.ndarray,
+    axis: int,
+    out: np.ndarray | None = None,
+    prod: np.ndarray | None = None,
 ) -> np.ndarray:
     """Softmax vector-Jacobian product ``s * (g - (g * s).sum(axis))``,
     written into ``out``.
 
     With ``out=None`` the result is a fresh array; ``out=g`` overwrites the
-    caller's buffer (the fused attention op's scratch).
+    caller's buffer (the fused attention op's scratch). ``prod``, when
+    given, holds ``g * s`` in place of a fresh temporary.
     """
-    dot = (g * s).sum(axis=axis, keepdims=True)
+    dot = np.multiply(g, s, out=prod).sum(axis=axis, keepdims=True)
     r = np.subtract(g, dot, out=out)
     r *= s
     return r

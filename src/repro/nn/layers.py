@@ -13,15 +13,15 @@ import numpy as np
 
 from repro.nn import init as _init
 from repro.nn.functional import dropout_mask
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 from repro.utils.rng import as_rng
 
 
 class Parameter(Tensor):
-    """A tensor that is always trainable."""
+    """A tensor that is always trainable, in the model dtype :data:`DTYPE`."""
 
     def __init__(self, data) -> None:
-        super().__init__(data, requires_grad=True)
+        super().__init__(np.asarray(data, dtype=DTYPE), requires_grad=True)
 
 
 class Module:
@@ -32,8 +32,18 @@ class Module:
     recursively by attribute walk (insertion order, so deterministic).
     """
 
+    #: Replaced whenever a module attribute is set to or from a module, list
+    #: or tuple; a cached walk of :meth:`modules` is valid while it lasts.
+    _tree_token = object()
+
     def __init__(self) -> None:
         self.training: bool = True
+
+    def __setattr__(self, name: str, value) -> None:
+        tree = (Module, list, tuple)
+        if isinstance(value, tree) or isinstance(vars(self).get(name), tree):
+            Module._tree_token = object()
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------- dispatch
     def forward(self, *args, **kwargs) -> Tensor:
@@ -61,14 +71,28 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def modules(self) -> Iterator["Module"]:
+        """This module and its submodules, depth first in attribute order.
+
+        The walk is cached until some module attribute is set to or from a
+        module, list or tuple, so the per-decision :meth:`eval` is a flat
+        loop. A list of submodules mutated in place goes unseen: assign a
+        new list instead.
+        """
+        cached = vars(self).get("_tree")
+        if cached is None or cached[0] is not Module._tree_token:
+            cached = (Module._tree_token, tuple(self._walk()))
+            object.__setattr__(self, "_tree", cached)
+        return iter(cached[1])
+
+    def _walk(self) -> Iterator["Module"]:
         yield self
         for value in vars(self).values():
             if isinstance(value, Module):
-                yield from value.modules()
+                yield from value._walk()
             elif isinstance(value, (list, tuple)):
                 for item in value:
                     if isinstance(item, Module):
-                        yield from item.modules()
+                        yield from item._walk()
 
     # ---------------------------------------------------------------- modes
     def train(self) -> "Module":
@@ -78,7 +102,8 @@ class Module:
 
     def eval(self) -> "Module":
         for m in self.modules():
-            m.training = False
+            if m.training:  # a repeated eval() sets nothing
+                m.training = False
         return self
 
     def zero_grad(self) -> None:

@@ -12,10 +12,18 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 
+def _constant(target: Tensor | np.ndarray, pred: Tensor) -> Tensor:
+    """``target`` as a constant tensor of ``pred``'s dtype: a float64 target
+    beside a float32 prediction would widen the loss and every gradient."""
+    if isinstance(target, Tensor):
+        target = target.data
+    return Tensor(np.asarray(target, dtype=pred.dtype))
+
+
 def huber_loss(pred: Tensor, target: Tensor, delta: float = 1.0,
                weights: np.ndarray | None = None) -> Tensor:
     """Mean Huber loss HL_δ(y, ŷ) over all elements (Eq. 7)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
+    target = _constant(target, pred)
     per_elem = F.huber(pred - target, delta=delta)
     if weights is not None:
         per_elem = per_elem * np.asarray(weights)
@@ -28,7 +36,7 @@ def mape_loss(pred: Tensor, target: Tensor, eps: float = 1e-8,
 
     ``eps`` regularizes the denominator for near-zero targets.
     """
-    target = target if isinstance(target, Tensor) else Tensor(target)
+    target = _constant(target, pred)
     denom = np.maximum(np.abs(target.data), eps)
     per_elem = (pred - target).abs() * (100.0 / denom)
     if weights is not None:
@@ -71,6 +79,6 @@ def slo_violation_weights(
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Plain mean squared error (used in ablations/tests)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
+    target = _constant(target, pred)
     diff = pred - target
     return (diff * diff).mean()

@@ -164,4 +164,5 @@ class CosineAnnealingLR(LRScheduler):
 
     def _lr_at(self, epoch: int) -> float:
         frac = min(epoch, self.t_max) / self.t_max
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + np.cos(np.pi * frac))
+        cos = float(np.cos(np.pi * frac))  # a Python float keeps float32 steps float32
+        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + cos)

@@ -56,8 +56,8 @@ class LSTM(Module):
             )
         batch, seq, _ = x.shape
         d = self.hidden_dim
-        h = Tensor(np.zeros((batch, d)))
-        c = Tensor(np.zeros((batch, d)))
+        h = Tensor(np.zeros((batch, d), x.dtype))
+        c = Tensor(np.zeros((batch, d), x.dtype))
         outputs = []
         for t in range(seq):
             gates = self.w_x(x[:, t, :]) + self.w_h(h)
@@ -99,7 +99,7 @@ class GRU(Module):
             )
         batch, seq, _ = x.shape
         d = self.hidden_dim
-        h = Tensor(np.zeros((batch, d)))
+        h = Tensor(np.zeros((batch, d), x.dtype))
         outputs = []
         for t in range(seq):
             xt = x[:, t, :]

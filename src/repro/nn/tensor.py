@@ -10,6 +10,12 @@ All array math stays inside NumPy ufuncs/BLAS calls so the tape overhead is
 one Python closure per *operation*, not per element — the idiom recommended
 by the HPC guides (vectorize the hot loop, keep Python at the orchestration
 level).
+
+Dtypes follow NumPy and PyTorch: an operation keeps its operands' dtype, and
+a Python scalar or array mixed into an operation takes the tensor's dtype,
+so a float32 tensor stays float32 and a float64 one stays float64. Models
+are float32 (:data:`DTYPE`): their parameters are created in it and their
+inputs are cast to it once, on entry.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 ArrayLike = "np.ndarray | float | int | list"
+
+#: The dtype of every model: parameters, activations, gradients and
+#: optimizer state.
+DTYPE = np.dtype(np.float32)
 
 #: False inside :func:`no_grad`: operations then record no tape.
 _grad_enabled = True
@@ -70,13 +80,18 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array contents; copied to ``float64`` unless already a float array.
+        Array contents. A floating array is kept as it is, dtype included;
+        anything else is converted to ``float64``, NumPy's default.
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+
+    #: NumPy defers to this class's reflected operators, so ``array * tensor``
+    #: is a tensor op like ``tensor * array``.
+    __array_ufunc__ = None
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
@@ -127,6 +142,17 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def astype(self, dtype) -> "Tensor":
+        """This tensor in ``dtype``; the gradient is cast back on the way
+        down. Returns ``self`` when the dtype already matches."""
+        if self.data.dtype == dtype:
+            return self
+
+        def backward(g: np.ndarray) -> None:
+            self._accumulate(g.astype(self.data.dtype))
+
+        return Tensor._from_op(self.data.astype(dtype), (self,), backward)
 
     # ------------------------------------------------------------ tape hooks
     @staticmethod
@@ -214,12 +240,16 @@ class Tensor:
                 node._backward(node.grad)
 
     # ------------------------------------------------------------ arithmetic
-    @staticmethod
-    def _coerce(other: "Tensor | ArrayLike") -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _coerce(self, other: "Tensor | ArrayLike") -> "Tensor":
+        """``other`` as a tensor. A scalar or array takes this tensor's
+        dtype, so under NumPy's promotion rules (NEP 50) a constant mixed
+        into an operation never widens it."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
 
     def __add__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(g)
@@ -236,7 +266,7 @@ class Tensor:
         return Tensor._from_op(-self.data, (self,), backward)
 
     def __sub__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(g)
@@ -245,10 +275,10 @@ class Tensor:
         return Tensor._from_op(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        return Tensor._coerce(other) - self
+        return self._coerce(other) - self
 
     def __mul__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(g * other.data)
@@ -259,7 +289,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(g / other.data)
@@ -268,7 +298,7 @@ class Tensor:
         return Tensor._from_op(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        return Tensor._coerce(other) / self
+        return self._coerce(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -280,7 +310,7 @@ class Tensor:
         return Tensor._from_op(self.data**exponent, (self,), backward)
 
     def __matmul__(self, other: "Tensor | ArrayLike") -> "Tensor":
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         # Promote 1-D operands to 2-D (row / column vector) so one gradient
         # rule covers every case; squeeze the promoted axes at the end.
         a = self.reshape(1, -1) if self.ndim == 1 else self
@@ -379,7 +409,7 @@ class Tensor:
             # Split gradient evenly among ties (matches subgradient convention).
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             g_e = g if keepdims or axis is None else np.expand_dims(g, axis)
-            self._accumulate(mask * g_e / counts)
+            self._accumulate(mask * g_e / counts.astype(g.dtype))
 
         return Tensor._from_op(out_data, (self,), backward)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import Dropout, FeedForward, LayerNorm, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DTYPE, Tensor
 from repro.utils.rng import as_rng
 
 
@@ -33,7 +33,7 @@ class PositionalEncoding(Module):
     def __init__(self, dim: int, max_len: int = 4096, dropout: float = 0.0,
                  seed: int | None | np.random.Generator = None) -> None:
         super().__init__()
-        self.table = sinusoidal_positional_encoding(max_len, dim)
+        self.table = sinusoidal_positional_encoding(max_len, dim).astype(DTYPE)
         self.drop = Dropout(dropout, seed=seed)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -44,6 +44,12 @@ class TestAlternativeSurrogates:
         out = model(Tensor(RNG.exponential(size=(4, 16))), Tensor(RNG.normal(size=(4, 3))))
         assert out.shape == (4, 6)
 
+    def test_runs_in_float32(self, factory):
+        model = factory()
+        out = model(Tensor(RNG.exponential(size=(4, 16))), Tensor(RNG.normal(size=(4, 3))))
+        assert out.dtype == np.float32
+        assert model.predict(RNG.exponential(size=16), RNG.normal(size=(2, 3))).dtype == np.float32
+
     def test_predict_broadcast(self, factory):
         model = factory()
         out = model.predict(RNG.exponential(size=16), RNG.normal(size=(7, 3)))

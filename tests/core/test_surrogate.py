@@ -166,3 +166,85 @@ class TestAttentionScores:
         small = tiny(num_layers=1)
         big = tiny(num_layers=3)
         assert big.num_parameters() > small.num_parameters()
+
+
+class TestFloat32:
+    """The model runs in float32 end to end, whatever dtype its callers
+    pass: inputs are cast once inside the model."""
+
+    def test_training_step_stays_float32(self, monkeypatch):
+        import repro.core.training as training
+        from repro.core.dataset import generate_dataset
+        from repro.batching.config import config_grid
+
+        optimizers = []
+
+        class RecordingAdam(training.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        grid = config_grid(memories=(512.0,), batch_sizes=(1, 8), timeouts=(0.0,))
+        ds = generate_dataset(RNG.exponential(0.01, size=2000), n_samples=20,
+                              seq_len=16, configs=grid, seed=0)
+        trained = training.train_surrogate(
+            ds, model=tiny(),
+            config=training.TrainConfig(epochs=1, batch_size=8, patience=None,
+                                        slo=0.1, seed=0))
+        (opt,) = optimizers
+        for name, p in trained.model.named_parameters():
+            assert p.dtype == np.float32, name
+            assert p.grad is not None and p.grad.dtype == np.float32, name
+        assert all(a.dtype == np.float32 for a in opt._m + opt._v)
+        assert all(np.isfinite(trained.history.train_loss))
+
+        seq, feats = ds.sequences[:3], ds.features[:3]
+        assert trained.predict(seq, feats).dtype == np.float32
+        scaled = trained.scale_features(feats)
+        assert trained.predict_scaled(seq[0], scaled).dtype == np.float32
+        assert trained.model.predict_grid(seq[0], scaled).dtype == np.float32
+
+    def test_float64_tensors_reach_the_float32_path(self):
+        m = tiny()
+        seq = RNG.normal(size=(2, 16))
+        feats = RNG.normal(size=(2, 3))
+        out = m(Tensor(seq), Tensor(feats))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, m.predict(seq, feats))
+        assert m.attention_scores(seq[0]).dtype == np.float32
+
+    def test_float32_agrees_with_float64_arithmetic(self):
+        # Ops keep their operands' dtype, so the same weights held in float64
+        # run every op after the input cast in float64: the reference.
+        m = tiny()
+        seq, feats = Tensor(RNG.normal(size=(3, 16))), Tensor(RNG.normal(size=(3, 3)))
+        narrow = m(seq, feats).data
+        for p in m.parameters():
+            p.data = p.data.astype(np.float64)
+        wide = m(seq, feats).data
+        assert wide.dtype == np.float64
+        np.testing.assert_allclose(narrow, wide, rtol=1e-5, atol=1e-6)
+
+    def test_input_gradient_returns_in_the_input_dtype(self):
+        m = tiny()
+        seq = Tensor(RNG.normal(size=(2, 16)), requires_grad=True)
+        m(seq, Tensor(RNG.normal(size=(2, 3)))).sum().backward()
+        assert seq.grad.dtype == np.float64
+
+
+class TestEvalMode:
+    def test_predict_restores_eval_below_a_training_submodule(self):
+        m = tiny(dropout=0.1)
+        m.eval()
+        m.encoder.train()
+        assert any(mod.training for mod in m.modules())
+        m.predict(RNG.normal(size=(1, 16)), RNG.normal(size=(3, 3)))
+        assert not any(mod.training for mod in m.modules())
+
+    def test_repeated_eval_is_identical(self):
+        m = tiny(dropout=0.1)
+        seq, feats = RNG.normal(size=16), RNG.normal(size=(4, 3))
+        first = m.predict(seq, feats)
+        m.eval()
+        np.testing.assert_array_equal(m.predict(seq, feats), first)

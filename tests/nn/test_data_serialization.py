@@ -1,5 +1,7 @@
 """Tests for datasets, data loaders, and checkpoint (de)serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,45 @@ class TestSerialization:
         other = Linear(4, 9, seed=0)
         with pytest.raises((KeyError, ValueError)):
             load_state(other, path)
+
+
+class TestFloat32Checkpoints:
+    """Float64 archives written before the models became float32 still load,
+    into float32 parameters."""
+
+    def test_float64_archive_loads_as_float32(self, tmp_path):
+        rng = np.random.default_rng(4)
+        state = {"weight": rng.normal(size=(4, 8)), "bias": rng.normal(size=8)}
+        path = tmp_path / "old.npz"
+        np.savez(path, **state)
+        net = Linear(4, 8, seed=0)
+        load_state(net, path)
+        for name, p in net.named_parameters():
+            assert p.dtype == np.float32
+            np.testing.assert_array_equal(p.data, state[name].astype(np.float32))
+
+    def test_float32_roundtrip_is_exact(self, tmp_path):
+        net = Sequential(Linear(4, 8, seed=0), ReLU(), Linear(8, 2, seed=1))
+        path = tmp_path / "model.npz"
+        save_state(net, path)
+        with np.load(path) as archive:
+            assert all(archive[k].dtype == np.float32 for k in archive.files)
+        clone = Sequential(Linear(4, 8, seed=9), ReLU(), Linear(8, 2, seed=9))
+        load_state(clone, path)
+        for (_, a), (_, b) in zip(net.named_parameters(), clone.named_parameters()):
+            assert b.dtype == np.float32
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_committed_decision_model_loads_as_float32(self):
+        from repro import core
+
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "surrogate.npz"
+        trained = core.load_trained(path)
+        with np.load(path) as archive:
+            for name, p in trained.model.named_parameters():
+                assert p.dtype == np.float32, name
+                np.testing.assert_array_equal(
+                    p.data, archive[f"model.{name}"].astype(np.float32))
 
 
 class TestSerializationHardening:

@@ -38,6 +38,18 @@ class TestModuleInfrastructure:
         net.train()
         assert all(m.training for m in net.modules())
 
+    def test_modules_walk_sees_submodules_set_after_it(self):
+        net = Sequential(Linear(3, 3, seed=0))
+        net.eval()
+        net.head = Dropout(0.5, seed=0)  # attached after the cached walk
+        net.layers = net.layers + [Dropout(0.5, seed=1)]
+        net.eval()
+        assert [type(m).__name__ for m in net.modules()] == [
+            "Sequential", "Linear", "Dropout", "Dropout"]
+        assert not any(m.training for m in net.modules())
+        net.head = None
+        assert len(list(net.modules())) == 3
+
     def test_state_dict_roundtrip(self):
         net1 = Linear(4, 3, seed=0)
         net2 = Linear(4, 3, seed=99)

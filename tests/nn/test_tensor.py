@@ -300,3 +300,57 @@ class TestNoGrad:
         assert y.requires_grad
         y.backward()
         np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+
+class TestDtype:
+    """Ops keep their operands' dtype: a constant mixed into an op takes the
+    tensor's dtype, so NumPy's promotion rules never widen float32."""
+
+    CONSTANTS = [2.5, 3, np.asarray(2.5), np.array([0.5, 2.0, 4.0])]
+    OPS = [
+        lambda t, c: t * c,
+        lambda t, c: c * t,
+        lambda t, c: t + c,
+        lambda t, c: c + t,
+        lambda t, c: t - c,
+        lambda t, c: c - t,
+        lambda t, c: t / c,
+        lambda t, c: c / t,
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("const", CONSTANTS, ids=["float", "int", "0d", "array"])
+    @pytest.mark.parametrize("op", range(len(OPS)))
+    def test_constant_takes_the_tensor_dtype(self, dtype, const, op):
+        t = Tensor(np.array([1.0, 2.0, 3.0], dtype=dtype), requires_grad=True)
+        out = self.OPS[op](t, const)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert t.grad.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reductions_and_elementwise_keep_dtype(self, dtype):
+        t = Tensor(RNG.uniform(0.5, 2.0, size=(3, 4)).astype(dtype), requires_grad=True)
+        outs = [t.mean(), t.mean(axis=0), t.sum(axis=1), t.max(axis=1), t.max(),
+                t.exp(), t.log(), t.sqrt(), t.tanh(), t.sigmoid(), t ** 2,
+                t.clip(0.7, 1.5), t.relu(), t.abs()]
+        for out in outs:
+            assert out.dtype == dtype
+            out.sum().backward()
+        assert t.grad.dtype == dtype
+
+    def test_astype_casts_the_gradient_back(self):
+        t = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        assert t.astype(np.float64) is t
+        out = t.astype(np.float32)
+        assert out.dtype == np.float32
+        (out * out).sum().backward()
+        assert t.grad.dtype == np.float64
+        np.testing.assert_allclose(t.grad, 2 * t.data, rtol=1e-6)
+
+    def test_parameters_are_float32(self):
+        from repro.nn.tensor import DTYPE
+
+        assert DTYPE == np.float32
+        assert Parameter(np.arange(3)).dtype == DTYPE
+        assert Parameter(RNG.normal(size=2)).dtype == DTYPE
