@@ -118,16 +118,16 @@ class WorkloadDriftDetector:
 
     def set_state(self, state: dict) -> "WorkloadDriftDetector":
         """Restore a :meth:`get_state` snapshot (bit-exact envelope)."""
-        for name in ("margin", "lower_q", "upper_q", "threshold"):
+        for name in ("margin", "lower_q", "upper_q", "threshold",
+                     "window_length"):
             if name not in state:
                 raise ValueError(f"drift-detector state is missing {name!r}")
+        for name in ("margin", "lower_q", "upper_q", "threshold"):
             setattr(self, name, float(state[name]))
         lo, hi = state.get("lo"), state.get("hi")
         self.lo_ = None if lo is None else np.asarray(lo, dtype=float).copy()
         self.hi_ = None if hi is None else np.asarray(hi, dtype=float).copy()
-        # Pre-window-length snapshots carry no "window_length" key; restore
-        # them without length validation rather than refusing to load.
-        wl = state.get("window_length")
+        wl = state["window_length"]
         self.window_length_ = None if wl is None else int(wl)
         return self
 

@@ -16,7 +16,6 @@ from repro.serverless.generation import (
 )
 from repro.serverless.platform import (
     BatchExecution,
-    InvocationRecord,
     ServerlessPlatform,
 )
 from repro.serverless.pricing import (
@@ -49,7 +48,6 @@ __all__ = [
     "ColdStartModel",
     "FaultModel",
     "FaultOutcome",
-    "InvocationRecord",
     "LambdaPricing",
     "RetryPolicy",
     "ServerlessPlatform",

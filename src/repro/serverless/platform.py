@@ -7,16 +7,15 @@ time, the billing record, and (optionally) cold starts and a concurrency
 cap. :class:`ServerlessPlatform` bundles those pieces behind one interface
 used by the ground-truth simulator.
 
-The hot path is :meth:`ServerlessPlatform.execute_batches`, which returns a
-struct-of-arrays :class:`BatchExecution` (start/service/cold/cost arrays)
-instead of materializing one Python object per invocation; the historical
-:meth:`invoke_batches` record-list API is kept as a lazy view over it.
-Grid sweeps that share one batch schedule across memory tiers use
-:meth:`execute_batches_grid`, which broadcasts the service-time and pricing
-math over all tiers at once.
+Execution returns a struct-of-arrays :class:`BatchExecution`
+(start/service/cold/cost arrays) instead of one Python object per
+invocation. :meth:`ServerlessPlatform.execute_batches_grid` runs one batch
+schedule at several memory tiers, broadcasting the service-time and
+pricing math over all of them at once; :meth:`execute_batches` is its
+one-tier case.
 
-With a :class:`~repro.serverless.faults.FaultModel` attached, both
-execution paths additionally run the per-batch retry loop of
+With a :class:`~repro.serverless.faults.FaultModel` attached, execution
+additionally runs the per-batch retry loop of
 :mod:`repro.serverless.faults`: failed and timed-out attempts re-dispatch
 under the platform's :class:`~repro.serverless.faults.RetryPolicy`, adding
 latency (backoff + wasted runs) and cost (every attempt billed) to the
@@ -47,29 +46,12 @@ from repro.utils.rng import as_rng
 
 
 @dataclass(frozen=True)
-class InvocationRecord:
-    """Billing/latency record of one function invocation (= one batch)."""
-
-    dispatch_time: float
-    batch_size: int
-    memory_mb: float
-    service_time: float
-    cold_start: float
-    cost: float
-
-    @property
-    def completion_time(self) -> float:
-        return self.dispatch_time + self.cold_start + self.service_time
-
-
-@dataclass(frozen=True)
 class BatchExecution:
     """Struct-of-arrays outcome of executing one batch schedule.
 
     All arrays are aligned per batch. ``start_times`` is when each
     invocation actually began — equal to the requested dispatch time unless
-    a concurrency cap delayed it. :meth:`records` materializes the legacy
-    per-invocation :class:`InvocationRecord` view on demand.
+    a concurrency cap delayed it.
 
     The fault-layer fields are ``None`` on fault-free executions:
     ``attempts``/``failed``/``fault_delays`` come from the retry loop
@@ -128,20 +110,6 @@ class BatchExecution:
         if self.failed is None:
             return 0
         return int(self.batch_sizes[self.failed].sum())
-
-    def records(self) -> list[InvocationRecord]:
-        """Lazy compatibility view: one :class:`InvocationRecord` per batch."""
-        return [
-            InvocationRecord(
-                dispatch_time=float(self.start_times[i]),
-                batch_size=int(self.batch_sizes[i]),
-                memory_mb=self.memory_mb,
-                service_time=float(self.service_times[i]),
-                cold_start=float(self.cold_starts[i]),
-                cost=float(self.costs[i]),
-            )
-            for i in range(self.n_batches)
-        ]
 
 
 def _throttled_starts(
@@ -228,47 +196,10 @@ class ServerlessPlatform:
         completion; the slot occupancy seen by the concurrency throttle
         includes those retries.
         """
-        dispatch_times = np.asarray(dispatch_times, dtype=float)
-        batch_sizes = np.asarray(batch_sizes, dtype=int)
-        if dispatch_times.shape != batch_sizes.shape:
-            raise ValueError("dispatch_times and batch_sizes must align")
-        n = dispatch_times.size
-        if n == 0:
-            empty = np.empty(0)
-            return BatchExecution(
-                memory_mb, empty, np.empty(0, int), empty, empty, empty
-            )
-
-        service = np.asarray(
-            self.profile.service_time(memory_mb, batch_sizes), dtype=float
-        ).reshape(n)
-        if self.cold_start is not None:
-            colds = self.cold_start.sample_delays(
-                memory_mb, n, rng if rng is not None else self._rng
-            )
-        else:
-            colds = np.zeros(n)
-
-        durations = colds + service
-        if self.faults_active:
-            return self._execute_faulty(
-                dispatch_times, batch_sizes, memory_mb, service, colds,
-                rng if rng is not None else self._rng,
-            )
-        if self.concurrency_limit is not None:
-            starts = _throttled_starts(dispatch_times, durations, self.concurrency_limit)
-        else:
-            starts = dispatch_times
-        costs = self.pricing.invocation_cost(memory_mb, durations)
-        costs = np.broadcast_to(np.asarray(costs), (n,))
-        return BatchExecution(
-            memory_mb=memory_mb,
-            start_times=starts,
-            batch_sizes=batch_sizes,
-            service_times=service,
-            cold_starts=colds,
-            costs=costs,
-        )
+        return self.execute_batches_grid(
+            dispatch_times, batch_sizes, [memory_mb],
+            rngs=None if rng is None else [rng],
+        )[0]
 
     def _execute_faulty(
         self,
@@ -349,9 +280,9 @@ class ServerlessPlatform:
         (B, T) policy, so grid sweeps form it once and evaluate every
         memory tier here: the service-time and pricing math broadcasts over
         an (M, n) matrix in one shot. Per-tier state (cold-start draws, the
-        concurrency heap) still runs per memory, matching
-        :meth:`execute_batches` exactly. ``rngs`` supplies one cold-start
-        generator per tier for order-independent sweeps.
+        concurrency heap) still runs per memory, so a tier's result does
+        not depend on which other tiers share the call. ``rngs`` supplies
+        one cold-start generator per tier for order-independent sweeps.
         """
         dispatch_times = np.asarray(dispatch_times, dtype=float)
         batch_sizes = np.asarray(batch_sizes, dtype=int)
@@ -419,12 +350,3 @@ class ServerlessPlatform:
                 costs=costs[k],
             ))
         return out
-
-    def invoke_batches(
-        self,
-        dispatch_times: np.ndarray,
-        batch_sizes: np.ndarray,
-        memory_mb: float,
-    ) -> list[InvocationRecord]:
-        """Record-list view of :meth:`execute_batches` (compatibility API)."""
-        return self.execute_batches(dispatch_times, batch_sizes, memory_mb).records()

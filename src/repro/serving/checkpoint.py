@@ -37,8 +37,9 @@ import numpy as np
 
 from repro.utils.io import atomic_write
 
-#: Bump when the snapshot layout changes; restore refuses other formats.
-SNAPSHOT_FORMAT = 1
+#: Bump when the snapshot layout changes; restore refuses other formats,
+#: so a snapshot only restores into a build that writes its layout.
+SNAPSHOT_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):

@@ -36,8 +36,10 @@ event                     what happens
 
 Arrivals are read straight from the sorted timestamp array; every other
 kind is a heap entry, dispatched through one ``kind -> handler`` table
-(:attr:`ServingEngine._handlers`) that the fast loop and the stepwise
-loop share. Every request-level batch — plain, under the fault layer, or
+(:attr:`ServingEngine._handlers`). One loop processes both,
+:meth:`ServingEngine._advance`: plain, checkpointed, journaled and chaos
+runs and every fleet lane drive it, differing only in where it stops.
+Every request-level batch — plain, under the fault layer, or
 failed over from another fleet lane — starts in one routine,
 :meth:`ServingEngine._start_batch`.
 
@@ -80,6 +82,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -147,7 +150,6 @@ _P_HEDGE = 9
 # Event kinds: the keys of the engine's handler table. Heap entries are
 # dispatched by dict lookup, which compares by value, so a heap restored
 # from a pickle (whose strings are fresh objects) dispatches the same.
-_K_ARRIVAL = "arrival"
 _K_COMPLETION = "completion"
 _K_TIMER = "timer"
 _K_RECONFIGURE = "reconfigure"
@@ -160,6 +162,9 @@ _K_COLD_RETRY = "cold_retry"
 _K_HEDGE = "hedge"
 
 _INF = float("inf")
+#: The stop of a drive with no snapshot cadence or chaos hook: an int, so
+#: the per-event stop check stays one int compare.
+_NO_STOP = sys.maxsize
 
 
 @dataclass
@@ -195,8 +200,7 @@ class _RunState:
     guardrail: SLOGuardrail | None = None
     clock: float = -np.inf
     events_processed: int = 0
-    # Generation mode (None/absent unless a GenerationConfig is set, so a
-    # defaults-off run's state — and old snapshots — are untouched).
+    # Generation mode (None unless a GenerationConfig is set).
     prompt_tokens: np.ndarray | None = None
     output_tokens: np.ndarray | None = None
     ttft: np.ndarray | None = None
@@ -204,9 +208,8 @@ class _RunState:
     gen_queue: deque | None = None
     gen_sessions: dict | None = None
     gen_session_meta: dict | None = None
-    # Infrastructure faults & degradation (PR 10); None/absent unless an
-    # OutageModel/DegradeConfig needs them, so a defaults-off run's state —
-    # and old snapshots — are untouched.
+    # Infrastructure faults & degradation; None unless an
+    # OutageModel/DegradeConfig needs them.
     inflight: dict | None = None
     hedge_obs: deque | None = None
     hedged: np.ndarray | None = None
@@ -245,6 +248,9 @@ class _RunContext:
     #: ``container_id -> straggler slowdown`` — a pure function of the
     #: outage model's seed and the id, so restores rebuild it exactly.
     straggler_cache: dict = field(default_factory=dict)
+    #: ``st.ts`` as a list of floats, built by the first :meth:`_advance`
+    #: of a drive.
+    arrivals: list | None = None
 
 
 class ServingEngine:
@@ -465,12 +471,11 @@ class ServingEngine:
     def _handlers(self) -> dict:
         """``kind -> handler`` for every event kind, built once per engine.
 
-        Every handler takes ``(st, ctx, now, payload)``. The stepwise loop
-        dispatches every event here; the fast loop consumes arrivals
-        inline, in contiguous runs, and dispatches every heap event here.
+        Every handler takes ``(st, ctx, now, payload)``. :meth:`_advance`
+        dispatches every heap event here; arrivals are not heap entries
+        and it consumes them inline.
         """
         return {
-            _K_ARRIVAL: self._on_arrival,
             _K_COMPLETION: self._on_completion,
             _K_TIMER: self._on_timer,
             _K_RECONFIGURE: self._on_reconfigure,
@@ -571,7 +576,7 @@ class ServingEngine:
                 "retrains": 0, "shed_batches": 0, "n_retries": 0,
                 "guardrail_trips": 0, "guardrail_restores": 0,
                 "guardrail_probes": 0, "guardrail_suppressed": 0,
-                "checkpoints": 0,
+                "checkpoints": 0, "queued_batches": 0,
             },
         )
         if self.guardrail_config is not None:
@@ -694,7 +699,7 @@ class ServingEngine:
             registry=registry,
             journal=journal,
             snapshot_path=os.fspath(path),
-            checkpoint_every=int(payload.get("checkpoint_every", 256)),
+            checkpoint_every=int(payload["checkpoint_every"]),
             crash_after=crash_after_events,
             replay_expect=replay_expect,
         )
@@ -710,12 +715,7 @@ class ServingEngine:
             ctx.journal.close()
 
     def _fingerprint(self) -> dict:
-        """Engine parameters a checkpoint must agree on to be resumable.
-
-        The drift keys keep their pre-grouped-config names and values
-        (a disabled prediction trigger reads as ``None, 2.0, 64``), so
-        snapshots written by earlier builds still match.
-        """
+        """Engine parameters a checkpoint must agree on to be resumable."""
         dc = self.drift_config
         pc = self.prediction_config
         return {
@@ -741,22 +741,16 @@ class ServingEngine:
             "guardrail": self.guardrail_config,
             # Scalars only (the forecaster object would never compare equal
             # across processes — like the drift detector, it is restored by
-            # constructing the engine identically). Disabled → None, which
-            # is also what pre-prewarm checkpoints yield via .get(), so old
-            # snapshots keep restoring.
+            # constructing the engine identically). Disabled → None here
+            # and for every feature config below.
             "prewarm": (
                 self.prewarm_config.fingerprint()
                 if self.prewarm_config is not None else None
             ),
-            # Same contract as prewarm: disabled → None, matching what
-            # pre-generation checkpoints yield via .get().
             "generation": (
                 self.generation_config.fingerprint()
                 if self.generation_config is not None else None
             ),
-            # Same contract again: a disabled (= normalized-away) outage
-            # model or degradation stack fingerprints as None, matching
-            # what pre-PR-10 checkpoints yield via .get().
             "outages": (
                 self.outage_config.fingerprint()
                 if self.outage_config is not None else None
@@ -809,62 +803,50 @@ class ServingEngine:
     def _drive(self, st: _RunState, ctx: _RunContext) -> ServingLog:
         """Run to completion and build the log.
 
-        Only a journal, a snapshot cadence or the chaos hook needs event
-        boundaries, so only those runs take the stepwise loop; every other
-        run — telemetry on or off — takes :meth:`_drive_fast`. The two
-        loops process the same events in the same order and their outputs
-        are bit-identical; the fast-path, checkpoint and chaos suites pin
-        that by comparing them.
+        Every single-engine run drives :meth:`_advance`. A plain run makes
+        one call with no stop. A checkpointed run stops at every
+        ``checkpoint_every``-th event to write a snapshot, and the chaos
+        hook stops at ``crash_after`` to raise :class:`SimulatedCrash`;
+        telemetry adds no stop.
         """
-        if (
-            ctx.journal is None
-            and ctx.snapshot_path is None
-            and ctx.crash_after is None
-        ):
-            self._drive_fast(st, ctx)
-            return self._finish(st, ctx)
-        while self._step(st, ctx):
-            st.events_processed += 1
-            if (
-                ctx.snapshot_path is not None
-                and st.events_processed % ctx.checkpoint_every == 0
-            ):
+        every = ctx.checkpoint_every if ctx.snapshot_path is not None else None
+        crash_after = ctx.crash_after
+        while True:
+            stop = _NO_STOP
+            if every is not None:
+                stop = (st.events_processed // every + 1) * every
+            if crash_after is not None:
+                stop = min(stop, crash_after)
+            if not self._advance(st, ctx, stop):
+                return self._finish(st, ctx)
+            if every is not None and st.events_processed % every == 0:
                 self._write_snapshot(st, ctx)
-            if ctx.crash_after is not None and st.events_processed >= ctx.crash_after:
+            if crash_after is not None and st.events_processed >= crash_after:
                 raise SimulatedCrash(
                     f"chaos hook: killed after {st.events_processed} events"
                 )
-        return self._finish(st, ctx)
 
-    def _drive_fast(self, st: _RunState, ctx: _RunContext) -> None:
-        """The hot loop: same events, same order, less work.
+    def _advance(self, st: _RunState, ctx: _RunContext, stop: int) -> bool:
+        """The event loop: process events until ``st.events_processed``
+        reaches ``stop`` (True) or the run has none left (False).
 
-        Differences from driving :meth:`_step` in a loop — none of them
-        observable in the outputs:
-
-        * arrivals are consumed in **contiguous runs**: the heap head is
-          read once per run and refreshed only after a handler actually
-          pushed an event, instead of two tuple constructions and a heap
-          peek for every single arrival;
-        * timestamps come from one bulk ``ndarray.tolist()`` conversion
-          instead of a ``float(st.ts[i])`` numpy-scalar unboxing each;
-        * the ``("arrival", ...)`` trace tuple is only built when a trace
-          is being recorded.
-
-        Runs that checkpoint, journal or chaos-crash keep the stepwise
-        loop: snapshots cut at exact event boundaries and the journal wants
-        one entry per event. Telemetry does not: the loop records only
-        reconfigure and guardrail events, the same under either loop
-        (checkpoint events come with snapshots, so only the stepwise loop
-        has them), and everything else is published from the finished run.
+        At least one event is processed if any is left, so a ``stop`` at
+        or below the current count processes exactly one; the fleet steps
+        a lane that way. Arrivals are consumed in **contiguous runs**: the
+        heap head is read once per run and refreshed only after a handler
+        pushed an event, and timestamps come from one ``tolist()`` per
+        drive. An arrival reaches the trace and the journal through
+        :meth:`_emit`, like every other event.
         """
-        ts = st.ts.tolist()
+        ts = ctx.arrivals
+        if ts is None:
+            ts = ctx.arrivals = st.ts.tolist()
         n = st.n
         heap = st.heap
         buffer = st.buffer
         timers = st.timers
         recent_ts = st.recent_ts
-        trace = st.trace
+        emit = st.trace is not None or ctx.journal is not None
         handlers = self._handlers
         drift_every = self.drift_config.check_every
         check_drift = self._drift_enabled
@@ -887,8 +869,8 @@ class ServingEngine:
                 st.arrival_ptr = ptr = ptr + 1
                 st.arrivals_seen += 1
                 recent_ts.append(t)
-                if trace is not None:
-                    trace.append(("arrival", t, ptr - 1))
+                if emit:
+                    self._emit(st, ctx, ("arrival", t, ptr - 1))
                 before = len(heap)
                 if continuous:
                     # Token-streaming arrivals bypass the buffer: they wait
@@ -907,27 +889,30 @@ class ServingEngine:
                 if check_drift and st.arrivals_seen % drift_every == 0:
                     self._check_drift(st, ctx, t)
                 events += 1
+                if events >= stop:
+                    st.events_processed = events
+                    return True
                 if len(heap) != before:
-                    if heap:
-                        head = heap[0]
-                        head_time = head[0]
-                        head_prio = head[1]
-                    else:  # pragma: no cover - handlers only push
-                        head_time = _INF
-                        head_prio = _P_ARRIVAL
+                    # Handlers only push, so the heap is not empty.
+                    head = heap[0]
+                    head_time = head[0]
+                    head_prio = head[1]
             if not heap:
-                break
+                st.events_processed = events
+                return False
             item = heappop(heap)
             now = item[0]
             st.clock = now
             handlers[item[3]](st, ctx, now, item[4])
             events += 1
-        st.events_processed = events
+            if events >= stop:
+                st.events_processed = events
+                return True
 
     def _next_event_key(self, st: _RunState) -> tuple[float, int] | None:
-        """``(time, priority)`` of the event :meth:`_step` would process
+        """``(time, priority)`` of the event :meth:`_advance` would process
         next, or ``None`` when the run is finished. The fleet merges lanes
-        on this key, so it must rank exactly as ``_step`` chooses: on a
+        on this key, so it must rank exactly as ``_advance`` chooses: on a
         tie the heap event wins (arrival priority is unique to arrivals,
         so ties never actually cross the two sources)."""
         head = (st.heap[0][0], st.heap[0][1]) if st.heap else None
@@ -936,46 +921,6 @@ class ServingEngine:
             if head is None or arrival < head:
                 return arrival
         return head
-
-    def _step(self, st: _RunState, ctx: _RunContext) -> bool:
-        """Process exactly one event (arrival or heap pop); False when done.
-
-        This is the stepwise path of journaled, checkpointed and chaos
-        runs, and the step the fleet merges its lanes with; every other
-        single-engine run takes :meth:`_drive_fast` instead.
-        """
-        if st.arrival_ptr >= st.n and not st.heap:
-            return False
-        if st.arrival_ptr < st.n and (
-            not st.heap
-            or (st.ts[st.arrival_ptr], _P_ARRIVAL) < (st.heap[0][0], st.heap[0][1])
-        ):
-            kind, payload = _K_ARRIVAL, st.arrival_ptr
-            now = float(st.ts[payload])
-        else:
-            now, _priority, _seq, kind, payload = heappop(st.heap)
-        st.clock = now
-        self._handlers[kind](st, ctx, now, payload)
-        return True
-
-    def _on_arrival(self, st: _RunState, ctx: _RunContext, now: float,
-                    i: int) -> None:
-        st.arrival_ptr = i + 1
-        st.arrivals_seen += 1
-        st.recent_ts.append(now)
-        if st.trace is not None or ctx.journal is not None:
-            self._emit(st, ctx, ("arrival", now, i))
-        check_every = self.drift_config.check_every
-        if self._gen_continuous:
-            self._gen_arrival(st, ctx, now, i)
-            if self._drift_enabled and st.arrivals_seen % check_every == 0:
-                self._check_drift(st, ctx, now)
-            return
-        for batch in st.buffer.observe(now):
-            self._dispatch(st, ctx, batch, now)
-        self._arm_timer(st)
-        if self._drift_enabled and st.arrivals_seen % check_every == 0:
-            self._check_drift(st, ctx, now)
 
     def _on_timer(self, st: _RunState, ctx: _RunContext, now: float,
                   deadline: float) -> None:
@@ -1474,8 +1419,7 @@ class ServingEngine:
                 self._emit(st, ctx, ("shed", now, batch.size))
             return
         st.queue.append(batch)
-        # .get: snapshots written before this counter existed lack the key.
-        st.counters["queued_batches"] = st.counters.get("queued_batches", 0) + 1
+        st.counters["queued_batches"] += 1
         if st.trace is not None or ctx.journal is not None:
             self._emit(st, ctx, ("queued", now, batch.size))
 
@@ -1488,19 +1432,13 @@ class ServingEngine:
             # Generation mode breaks on TTFT windows, not end-of-decode
             # latency — first-token time is the streaming SLO.
             guard_obs = st.ttft[i0:i0 + size] if self._gen_buffer else lat
-        elif len(payload) == 4:
+        else:
             # Failed-over batch: the donor lane's pool hosted the
             # container, so release goes there, and this lane's own queue
             # is left to the fleet's drain pass (popping it here would
             # reorder admissions).
             container_id, i0, size, foreign = payload
             lat = st.latencies[i0:i0 + size]
-            guard_obs = lat
-        else:
-            # A pre-speed-pass snapshot's heap carries (id, indices-array)
-            # payloads; honor them so old checkpoints keep restoring.
-            container_id, indices = payload
-            lat = st.latencies[indices]
             guard_obs = lat
         if st.inflight is not None:
             st.inflight.pop(container_id, None)
@@ -1796,15 +1734,13 @@ class ServingEngine:
             retrains=st.counters["retrains"],
             decision_errors=st.counters.get("decision_errors", 0),
             shed_batches=st.counters["shed_batches"],
-            queued_batches=st.counters.get("queued_batches", 0),
+            queued_batches=st.counters["queued_batches"],
             cold_starts=stats.cold_starts,
             warm_starts=stats.warm_starts,
             expired_containers=stats.expired,
             evicted_containers=stats.evicted,
-            # getattr/.get: a snapshot written before the prewarm fields
-            # existed unpickles without them and must still finish cleanly.
-            prewarmed_containers=getattr(stats, "prewarmed", 0),
-            prewarm_retired=getattr(stats, "retired", 0),
+            prewarmed_containers=stats.prewarmed,
+            prewarm_retired=stats.retired,
             prewarm_ticks=st.counters.get("prewarm_ticks", 0),
             prewarm_cost=st.counters.get("prewarm_cost", 0.0),
             n_retries=st.counters["n_retries"],
@@ -1821,12 +1757,10 @@ class ServingEngine:
             guardrail_state=(
                 st.guardrail.state if st.guardrail is not None else None
             ),
-            # getattr/.get throughout: state objects written before the
-            # generation fields existed must still finish cleanly.
-            ttft=getattr(st, "ttft", None),
-            tpot=getattr(st, "tpot", None),
-            prompt_tokens=getattr(st, "prompt_tokens", None),
-            output_tokens=getattr(st, "output_tokens", None),
+            ttft=st.ttft,
+            tpot=st.tpot,
+            prompt_tokens=st.prompt_tokens,
+            output_tokens=st.output_tokens,
             ttft_slo=self._gen_ttft_slo,
             tpot_slo=(
                 self.generation_config.tpot_slo
@@ -1837,7 +1771,7 @@ class ServingEngine:
             gen_decode_iterations=st.counters.get("gen_decode_iterations", 0),
             gen_tokens=st.counters.get("gen_tokens", 0),
             gen_shed=st.counters.get("gen_shed", 0),
-            outage_denied=getattr(stats, "outage_denied", 0),
+            outage_denied=stats.outage_denied,
             crashed_containers=st.counters.get("crashed_containers", 0),
             crash_requeued=st.counters.get("crash_requeued", 0),
             straggler_batches=st.counters.get("straggler_batches", 0),
@@ -1849,8 +1783,8 @@ class ServingEngine:
             hedge_cost=st.counters.get("hedge_cost", 0.0),
             brownout_shed=st.counters.get("brownout_shed", 0),
             failover_batches=st.counters.get("failover_batches", 0),
-            hedged=getattr(st, "hedged", None),
-            failed_over=getattr(st, "failed_over", None),
+            hedged=st.hedged,
+            failed_over=st.failed_over,
         )
         if ctx.registry.enabled:
             log.publish(ctx.registry, self.metrics_prefix)

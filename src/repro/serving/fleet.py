@@ -23,9 +23,10 @@ engine into that setting:
   each lane's own chooser keeps deciding — the per-endpoint fallback;
 * :class:`FleetEngine` — N lane engines merged into **one** event loop:
   each lane is a full :class:`ServingEngine` run state, and the fleet
-  repeatedly steps whichever lane owns the globally next event (ordered
-  by ``(time, priority, lane index)`` — exactly the ranking ``_step``
-  itself uses, so with a single endpoint and an unconstrained budget the
+  repeatedly runs the engine's own loop (``_advance``) for one event on
+  whichever lane owns the globally next event (ordered by ``(time,
+  priority, lane index)`` — exactly the ranking ``_advance`` itself
+  uses, so with a single endpoint and an unconstrained budget the
   fleet reproduces ``ServingEngine`` bit-for-bit: latencies, costs, and
   event trace, faults on and off. That equivalence is this module's
   keystone, pinned in tier-1).
@@ -705,8 +706,7 @@ class FleetEngine:
                 break
             i = head[2]
             eng, st, ctx = lanes[i]
-            eng._step(st, ctx)
-            st.events_processed += 1
+            eng._advance(st, ctx, st.events_processed + 1)
             if not coupled:
                 rekey(i)
                 continue

@@ -64,16 +64,6 @@ class BatchColumns:
         self._service = np.empty(rows)
         self._fill = 0
 
-    def __setstate__(self, state: dict) -> None:
-        # Snapshots written before the cold-delay/service columns existed
-        # hold seven columns; their rows get NaN (no value) in the new ones.
-        self.__dict__.update(state)
-        if "_service" not in state:
-            self._full = [chunk + (np.full(chunk[0].size, np.nan),) * 2
-                          for chunk in self._full]
-            self._cold_delay = np.full(self.chunk_rows, np.nan)
-            self._service = np.full(self.chunk_rows, np.nan)
-
     def _chunk(self, rows: int) -> tuple[np.ndarray, ...]:
         return (self._dispatch[:rows], self._start[:rows], self._size[:rows],
                 self._cost[:rows], self._cold[:rows], self._memory[:rows],
@@ -160,8 +150,7 @@ class ServingLog:
     batch_cold_delay: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: The service time that followed the cold start, fault-retry delay
     #: excluded: NaN for an attempt that crashed, a continuous session's
-    #: whole hold after its cold start. Rows restored from a snapshot
-    #: written before these two columns existed hold NaN in both.
+    #: whole hold after its cold start.
     batch_service: np.ndarray = field(default_factory=lambda: np.empty(0))
     # Control plane.
     decisions: list[ServingDecision] = field(default_factory=list)

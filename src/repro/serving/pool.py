@@ -79,10 +79,6 @@ class _Container:
 class PoolStats:
     """Lifetime counters the serving log reports.
 
-    ``crashed`` and ``outage_denied`` (PR 10) default to 0 as class
-    attributes, so stats objects pickled before the fields existed
-    restore cleanly.
-
     ``outage_denied`` counts denied *calls*, not batches: every
     :meth:`WarmPool.acquire` or :meth:`WarmPool.prewarm` refused because
     an outage window was open. A batch that waits out a window therefore

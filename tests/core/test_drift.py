@@ -97,17 +97,17 @@ class TestWindowLengthValidation:
         with pytest.raises(ValueError, match="does not match"):
             restored.score(np.ones(L // 2))
 
-    def test_old_state_without_window_length_still_scores(self):
-        # Snapshots written before the length was recorded lack the key:
-        # restore must not fail, and scoring falls back to unvalidated
-        # (the pre-fix behaviour) rather than rejecting every window.
+    def test_state_without_window_length_is_rejected(self):
+        # The window length is required like the envelope's other keys:
+        # a state without it cannot validate window lengths, so it does
+        # not restore, and the detector is left untouched.
         fitted = WorkloadDriftDetector().fit(TRAIN, window_length=L)
         state = fitted.get_state()
         del state["window_length"]
-        restored = WorkloadDriftDetector()
-        restored.set_state(state)
-        assert restored.window_length_ is None
-        assert 0.0 <= restored.score(np.ones(L // 2)) <= 1.0
+        restored = WorkloadDriftDetector(margin=0.5)
+        with pytest.raises(ValueError, match="window_length"):
+            restored.set_state(state)
+        assert restored.margin == 0.5 and restored.lo_ is None
 
 
 class TestPredictionDrift:

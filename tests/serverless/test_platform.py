@@ -9,31 +9,37 @@ from repro.serverless.service_profile import ColdStartModel, ServiceProfile
 
 
 class TestInvokeBatches:
+    """One :class:`BatchExecution` row per invoked batch."""
+
     def test_records_align_with_inputs(self):
         plat = ServerlessPlatform()
-        recs = plat.invoke_batches(np.array([0.0, 1.0]), np.array([4, 8]), 1024.0)
-        assert len(recs) == 2
-        assert recs[0].batch_size == 4 and recs[1].batch_size == 8
-        assert recs[0].dispatch_time == 0.0
+        ex = plat.execute_batches(np.array([0.0, 1.0]), np.array([4, 8]), 1024.0)
+        assert ex.n_batches == 2
+        np.testing.assert_array_equal(ex.batch_sizes, [4, 8])
+        np.testing.assert_array_equal(ex.start_times, [0.0, 1.0])
+        assert ex.memory_mb == 1024.0
 
     def test_completion_time(self):
         plat = ServerlessPlatform()
-        rec = plat.invoke_batches(np.array([2.0]), np.array([1]), 1792.0)[0]
+        ex = plat.execute_batches(np.array([2.0]), np.array([1]), 1792.0)
         expected = plat.profile.service_time(1792.0, 1)
-        assert rec.completion_time == pytest.approx(2.0 + expected)
+        assert ex.completion_times[0] == pytest.approx(2.0 + expected)
 
     def test_cost_matches_pricing(self):
         plat = ServerlessPlatform()
-        rec = plat.invoke_batches(np.array([0.0]), np.array([2]), 1024.0)[0]
-        expected = plat.pricing.invocation_cost(1024.0, rec.service_time)
-        assert rec.cost == pytest.approx(expected)
+        ex = plat.execute_batches(np.array([0.0]), np.array([2]), 1024.0)
+        expected = plat.pricing.invocation_cost(1024.0, ex.service_times[0])
+        assert ex.costs[0] == pytest.approx(expected)
+        assert ex.total_cost == pytest.approx(expected)
 
     def test_empty_input(self):
-        assert ServerlessPlatform().invoke_batches(np.array([]), np.array([]), 1024.0) == []
+        ex = ServerlessPlatform().execute_batches(np.array([]), np.array([]), 1024.0)
+        assert ex.n_batches == 0
+        assert ex.completion_times.size == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ServerlessPlatform().invoke_batches(np.array([0.0]), np.array([1, 2]), 1024.0)
+            ServerlessPlatform().execute_batches(np.array([0.0]), np.array([1, 2]), 1024.0)
 
 
 class TestColdStarts:
@@ -42,32 +48,31 @@ class TestColdStarts:
         cold = ServerlessPlatform(
             cold_start=ColdStartModel(cold_probability=1.0, base_delay=0.5), seed=0
         )
-        rw = warm.invoke_batches(np.array([0.0]), np.array([1]), 1024.0)[0]
-        rc = cold.invoke_batches(np.array([0.0]), np.array([1]), 1024.0)[0]
-        assert rc.completion_time > rw.completion_time
-        assert rc.cost > rw.cost
-        assert rc.cold_start > 0
+        ew = warm.execute_batches(np.array([0.0]), np.array([1]), 1024.0)
+        ec = cold.execute_batches(np.array([0.0]), np.array([1]), 1024.0)
+        assert ec.completion_times[0] > ew.completion_times[0]
+        assert ec.costs[0] > ew.costs[0]
+        assert ec.cold_starts[0] > 0
 
 
 class TestConcurrencyLimit:
     def test_unlimited_runs_in_parallel(self):
         plat = ServerlessPlatform()
-        recs = plat.invoke_batches(np.zeros(5), np.full(5, 1), 1024.0)
-        assert all(r.dispatch_time == 0.0 for r in recs)
+        ex = plat.execute_batches(np.zeros(5), np.full(5, 1), 1024.0)
+        np.testing.assert_array_equal(ex.start_times, np.zeros(5))
 
     def test_limit_serializes_excess(self):
         plat = ServerlessPlatform(concurrency_limit=1)
-        recs = plat.invoke_batches(np.zeros(3), np.full(3, 1), 1024.0)
-        starts = [r.dispatch_time for r in recs]
+        ex = plat.execute_batches(np.zeros(3), np.full(3, 1), 1024.0)
         svc = plat.profile.service_time(1024.0, 1)
-        np.testing.assert_allclose(starts, [0.0, svc, 2 * svc], rtol=1e-9)
+        np.testing.assert_allclose(ex.start_times, [0.0, svc, 2 * svc], rtol=1e-9)
 
     def test_limit_two_interleaves(self):
         plat = ServerlessPlatform(concurrency_limit=2)
-        recs = plat.invoke_batches(np.zeros(4), np.full(4, 1), 1024.0)
-        starts = sorted(r.dispatch_time for r in recs)
+        ex = plat.execute_batches(np.zeros(4), np.full(4, 1), 1024.0)
         svc = plat.profile.service_time(1024.0, 1)
-        np.testing.assert_allclose(starts, [0.0, 0.0, svc, svc], rtol=1e-9)
+        np.testing.assert_allclose(np.sort(ex.start_times),
+                                   [0.0, 0.0, svc, svc], rtol=1e-9)
 
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
@@ -78,38 +83,18 @@ class TestConcurrencyLimit:
             profile=ServiceProfile(base_time=0.1, batch_time=0.0),
             pricing=LambdaPricing(request_price=0.0),
         )
-        rec = plat.invoke_batches(np.array([0.0]), np.array([1]), 1792.0)[0]
-        assert rec.service_time == pytest.approx(0.1)
-        assert rec.cost == pytest.approx(1.75 * 0.1 * plat.pricing.gb_second_price)
+        ex = plat.execute_batches(np.array([0.0]), np.array([1]), 1792.0)
+        assert ex.service_times[0] == pytest.approx(0.1)
+        assert ex.costs[0] == pytest.approx(1.75 * 0.1 * plat.pricing.gb_second_price)
 
 
 class TestBatchExecution:
-    """The struct-of-arrays fast path and its lazy record view."""
-
-    def test_records_view_matches_invoke_batches(self):
-        plat = ServerlessPlatform(
-            cold_start=ColdStartModel(cold_probability=0.5), seed=3
-        )
-        disp = np.array([0.0, 0.5, 0.5, 2.0])
-        sizes = np.array([1, 4, 8, 2])
-        ex = plat.execute_batches(disp, sizes, 1024.0, rng=plat.spawn_rng(0))
-        recs = plat.execute_batches(disp, sizes, 1024.0, rng=plat.spawn_rng(0)).records()
-        assert len(recs) == ex.n_batches == 4
-        for i, r in enumerate(recs):
-            assert r.dispatch_time == ex.start_times[i]
-            assert r.batch_size == ex.batch_sizes[i]
-            assert r.memory_mb == ex.memory_mb
-            assert r.service_time == ex.service_times[i]
-            assert r.cold_start == ex.cold_starts[i]
-            assert r.cost == ex.costs[i]
-            assert r.completion_time == pytest.approx(ex.completion_times[i])
-        assert ex.total_cost == pytest.approx(sum(r.cost for r in recs))
+    """The struct-of-arrays execution and its grid form."""
 
     def test_empty_execution(self):
         ex = ServerlessPlatform().execute_batches(np.array([]), np.array([]), 512.0)
         assert ex.n_batches == 0
         assert ex.total_cost == 0.0
-        assert ex.records() == []
 
     def test_heap_matches_naive_argmin_schedule(self):
         """The O(n log C) heap must reproduce the reference O(n·C)

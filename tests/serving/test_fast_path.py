@@ -1,13 +1,14 @@
-"""Fast drive loop ≡ stepwise drive loop, bit-for-bit.
+"""One event loop, whatever stops it: checkpointed and telemetry runs
+match plain runs, bit-for-bit.
 
-The speed pass gave :meth:`ServingEngine._drive` a fast path (batched
-arrival runs, cached heap head, memoized service/cost) that is taken
-whenever no stepwise-only feature is active — no journal, no
-checkpointing, no crash hook; telemetry does not count. The stepwise loop
-remains the path for crash-safe runs, so the two must stay
-interchangeable: same trace, same engine, same seed ⇒ identical
-:class:`ServingLog`, event trace included, and identical published
-telemetry.
+Every single-engine run drives :meth:`ServingEngine._advance` (batched
+arrival runs, cached heap head, memoized service/cost). A plain run makes
+one call with no stop; a checkpointed, journaled or chaos run stops at
+snapshot boundaries and crash points; the fleet stops after every event.
+Stopping must not change the run: same trace, same engine, same seed ⇒
+identical :class:`ServingLog`, event trace included, and identical
+published telemetry. The stop contract itself is pinned by driving a run
+in random chunks and comparing it with one unbounded call.
 
 Also pins the hot-path micro-fixes: interned event kinds keep the engine's
 same-seed determinism, and the per-batch service/cost memo is invalidated
@@ -20,14 +21,21 @@ import pytest
 from repro.batching.config import BatchConfig
 from repro.core.types import Decision
 from repro.serverless.faults import FaultModel
+from repro.serverless.generation import TokenLengthModel
+from repro.serverless.outages import CrashHazard, OutageModel, OutageWindow
 from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ColdStartModel
 from repro.serving import (
+    DegradeConfig,
+    HedgeConfig,
     ServingEngine,
     WarmPoolConfig,
     assert_serving_logs_equal,
 )
-from repro.telemetry.metrics import MetricsRegistry, use_registry
+from repro.serving.config import GenerationConfig, PrewarmConfig
+from repro.serving.engine import _RunContext
+from repro.serving.prewarm import EmpiricalRateForecaster
+from repro.telemetry.metrics import MetricsRegistry, get_registry, use_registry
 
 pytestmark = pytest.mark.serving
 
@@ -72,7 +80,7 @@ def build_engine(seed=123, faults=False):
 
 
 def published(registry):
-    """Counter and histogram records, minus the stepwise loop's own
+    """Counter and histogram records, minus a checkpointed run's own
     ``checkpoint.*`` counters."""
     return [r for r in registry.records()
             if r["type"] in ("counter", "histogram")
@@ -82,8 +90,8 @@ def published(registry):
 class TestFastEqualsStepwise:
     @pytest.mark.parametrize("faults", [False, True])
     def test_telemetry_run_matches_plain_run(self, faults, tmp_path):
-        # Telemetry on takes the fast loop too; a checkpoint_path forces
-        # the stepwise one. Both must serve and publish the same run.
+        # Telemetry adds no stop; a checkpoint_path stops at every
+        # snapshot. Both must serve and publish the same run.
         ts = trace()
         with use_registry(MetricsRegistry()) as fast_registry:
             fast = build_engine(seed=7, faults=faults).run(
@@ -98,7 +106,7 @@ class TestFastEqualsStepwise:
                 != [])
 
     def test_checkpointed_run_matches_plain_run(self, tmp_path):
-        # A checkpoint_path forces the stepwise loop (snapshot cadence).
+        # A checkpoint_path stops the loop at every snapshot boundary.
         ts = trace(seed=9)
         fast = build_engine(seed=7, faults=True).run(ts, record_trace=True)
         slow = build_engine(seed=7, faults=True).run(
@@ -109,6 +117,68 @@ class TestFastEqualsStepwise:
         np.testing.assert_array_equal(fast.latencies, slow.latencies)
         np.testing.assert_array_equal(fast.batch_costs, slow.batch_costs)
         assert fast.event_trace == slow.event_trace
+
+
+def degraded_engine():
+    """Request level with platform faults, crash hazard, hedging and
+    prewarm: every heap event kind the data plane has."""
+    platform = ServerlessPlatform(
+        cold_start=ColdStartModel(), faults=FaultModel(failure_rate=0.2),
+        seed=17,
+    )
+    return ServingEngine(
+        CONFIG, platform=platform,
+        pool=WarmPoolConfig(keep_alive_s=1.0, max_containers=4,
+                            max_queued_batches=6),
+        outages=OutageModel(windows=(OutageWindow(2.0, 3.0),),
+                            crash=CrashHazard(rate=0.05, outage_rate=0.3),
+                            seed=5),
+        degrade=DegradeConfig(hedge=HedgeConfig(percentile=75.0,
+                                                min_observations=8)),
+        prewarm=PrewarmConfig(forecaster=EmpiricalRateForecaster(),
+                              interval_s=0.5, retire=True),
+    )
+
+
+def continuous_engine():
+    gen = GenerationConfig(
+        dispatcher="continuous",
+        length_model=TokenLengthModel(prompt_mean=64.0, output_mean=8.0),
+        ttft_slo=0.05, max_waiting=16,
+    )
+    return ServingEngine(CONFIG, platform=ServerlessPlatform(seed=7),
+                         pool=WarmPoolConfig(max_containers=4),
+                         generation=gen)
+
+
+class TestStopContract:
+    @pytest.mark.parametrize("factory, exercised", [
+        (degraded_engine,
+         ("crashed_containers", "hedges", "prewarm_ticks", "n_retries")),
+        (continuous_engine, ("gen_sessions",)),
+    ], ids=["request-level", "continuous"])
+    def test_random_chunks_match_one_unbounded_call(self, factory, exercised):
+        # _advance(st, ctx, stop) stops exactly at ``stop`` while events
+        # remain and reports the end once; where it stops must not change
+        # the run.
+        ts = trace(seed=21, n=1500)
+        whole = factory().run(ts, record_trace=True)
+        engine = factory()
+        st = engine._init_state(ts, "serving", "trace", None, True)
+        ctx = _RunContext(registry=get_registry())
+        rng = np.random.default_rng(3)
+        chunks = 0
+        while True:
+            stop = st.events_processed + int(rng.integers(1, 301))
+            if not engine._advance(st, ctx, stop):
+                break
+            assert st.events_processed == stop
+            chunks += 1
+        assert not engine._advance(st, ctx, st.events_processed + 1)
+        chunked = engine._finish(st, ctx)
+        assert chunks > 10
+        assert_serving_logs_equal(chunked, whole)
+        assert all(getattr(whole, name) for name in exercised)
 
 
 class TestHotPathMicroFixes:

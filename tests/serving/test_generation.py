@@ -5,8 +5,8 @@ Covers the full stack: the prefill/decode timing model
 ``output_tokens == 1`` special case), the seeded per-request length model
 (order- and worker-independent draws), the continuous-batching state
 machine and its admission knobs, both engine dispatchers (buffer-mode
-bit-identity with the legacy engine; continuous-mode fast ≡ stepwise and
-crash-restore safety), the goodput/TTFT/TPOT accessors on the log, the
+bit-identity with the legacy engine; continuous-mode checkpointed run ≡
+plain run and crash-restore safety), the goodput/TTFT/TPOT accessors on the log, the
 JSON config schema, fleet lanes, the generation labeling path for the
 surrogate, and the headline evaluation: continuous batching beats the
 size/timeout buffer on goodput at equal-or-lower cost.
@@ -351,7 +351,7 @@ class TestContinuousDispatcher:
     def test_fast_path_matches_stepwise(self, tmp_path):
         ts = poisson_trace(n=800)
         fast = build_engine(self.generation()).run(ts, name="fast")
-        # A checkpoint_path forces the stepwise loop.
+        # A checkpoint_path stops the loop at every snapshot boundary.
         slow = build_engine(self.generation()).run(
             ts, name="slow", checkpoint_path=tmp_path / "gen.ckpt")
         np.testing.assert_array_equal(fast.latencies, slow.latencies)

@@ -1,7 +1,8 @@
 """Golden digests: absolute outputs of the serving engine, pinned.
 
-The equivalence suites compare the engine against itself (fast loop vs
-stepwise loop, heap-merged fleet vs scan, restored vs uninterrupted).
+The equivalence suites compare the engine against itself (checkpointed
+run vs plain run of the same loop, heap-merged fleet vs scan, restored vs
+uninterrupted).
 They cannot notice a change that moves every path the same way. This
 file pins the *absolute* outputs instead: a sha256 over the event trace,
 the per-request columns, the batch columns, the decisions and every

@@ -3,7 +3,7 @@
 Covers the full stack: the rate forecasters (windowed empirical, NHPP
 profile, MAP phase filtering, and the oracle), the Little's-law planning
 policy, the pool's ``prewarm``/``retire_idle`` primitives (pinned by
-seeded-churn digests), the engine's periodic prewarm event (fast ≡ stepwise,
+seeded-churn digests), the engine's periodic prewarm event (checkpointed run ≡ plain run,
 checkpoint-safe, zero footprint when disabled), and the headline
 evaluation: on Alibaba-like on-off bursts, predictive prewarming cuts the
 cold-start rate by well over 30% versus reactive keep-alive at equal or
@@ -357,8 +357,9 @@ class TestEngineIntegration:
         assert not any(ev[0] == "prewarm" for ev in a.event_trace)
 
     def test_fast_path_matches_stepwise_with_prewarm(self, tmp_path):
-        # A checkpoint_path forces the stepwise loop; without it the fast
-        # path runs. Both must dispatch the prewarm ticks identically.
+        # A checkpoint_path stops the loop at every snapshot boundary;
+        # without it the loop runs through. Both must dispatch the prewarm
+        # ticks identically.
         ts = poisson_trace(seed=8)
         cfg = self.prewarm_cfg(retire=True)
         fast = build_engine(prewarm=cfg).run(ts, record_trace=True)

@@ -7,8 +7,9 @@ halves:
 
 * with telemetry off, a full serving run completes under a poisoned
   ``time.perf_counter``;
-* with telemetry on, a plain run takes the fast loop (``_step`` never
-  runs) and creates no counter or histogram before ``_finish``;
+* with telemetry on, a plain run drives the event loop (``_advance``)
+  once, with no stop, and creates no counter or histogram before
+  ``_finish``;
 * an observed run publishes no wall-clock counters, so the dashboard has
   no serving-performance section.
 """
@@ -19,6 +20,7 @@ import numpy as np
 
 from repro.batching.config import BatchConfig
 from repro.serving import ServingEngine, WarmPoolConfig
+from repro.serving.engine import _NO_STOP
 from repro.telemetry.export import render_dashboard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
@@ -49,10 +51,14 @@ class TestDisabledPath:
 
 class TestEnabledPath:
     def test_enabled_serving_run_takes_the_fast_loop(self, monkeypatch):
-        # The counterpart with a registry on: the run never steps event by
-        # event, and nothing is counted or sampled until the run is done.
-        def no_step(self, st, ctx):
-            raise AssertionError("an observed plain run took the stepwise loop")
+        # The counterpart with a registry on: the run never stops between
+        # events, and nothing is counted or sampled until the run is done.
+        stops = []
+        advance = ServingEngine._advance
+
+        def recorded_advance(self, st, ctx, stop):
+            stops.append(stop)
+            return advance(self, st, ctx, stop)
 
         seen = []
         finish = ServingEngine._finish
@@ -62,10 +68,11 @@ class TestEnabledPath:
                          if r["type"] in ("counter", "histogram")])
             return finish(self, st, ctx)
 
-        monkeypatch.setattr(ServingEngine, "_step", no_step)
+        monkeypatch.setattr(ServingEngine, "_advance", recorded_advance)
         monkeypatch.setattr(ServingEngine, "_finish", checked_finish)
         with use_registry(MetricsRegistry()) as registry:
             log = engine().run(trace(0, 1000))
+        assert stops == [_NO_STOP]
         assert seen == [[]]
         histograms = {r["name"]: r for r in registry.records()
                       if r["type"] == "histogram"}
