@@ -35,8 +35,7 @@ class BatchDecision(Decision):
     """Outcome of one BATCH optimization round.
 
     ``decision_time`` (the unified API's timing field) equals
-    ``fit_time + solve_time``; :attr:`total_time` remains as an alias for
-    older call sites.
+    ``fit_time + solve_time``.
     """
 
     prediction: AnalyticPrediction | None = None
@@ -44,10 +43,6 @@ class BatchDecision(Decision):
     fit_time: float = 0.0
     solve_time: float = 0.0
     feasible: bool = True
-
-    @property
-    def total_time(self) -> float:
-        return self.fit_time + self.solve_time
 
 
 class BATCHController:

@@ -305,15 +305,40 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _telemetry_unwritable(args) -> bool:
+    """Report an unwritable ``--telemetry`` path before the (expensive)
+    run, not when dumping afterwards."""
+    if not args.telemetry:
+        return False
+    try:
+        with open(args.telemetry, "w", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        print(f"error: cannot write {args.telemetry}: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
+def _platform(args, seed: int) -> ServerlessPlatform:
+    """The platform the ``--cold-starts``, ``--fault-rate``,
+    ``--fault-timeout`` and ``--retries`` flags describe (``evaluate`` has
+    no ``--cold-starts``)."""
+    from repro.serverless.service_profile import ColdStartModel
+
+    faulty = args.fault_rate > 0.0 or args.fault_timeout is not None
+    return ServerlessPlatform(
+        seed=seed,
+        cold_start=(ColdStartModel() if getattr(args, "cold_starts", False)
+                    else None),
+        faults=(FaultModel(failure_rate=args.fault_rate,
+                           timeout_s=args.fault_timeout) if faulty else None),
+        retry_policy=RetryPolicy(max_attempts=args.retries),
+    )
+
+
 def _cmd_evaluate(args) -> int:
-    if args.telemetry:
-        # Fail before the (expensive) run, not when dumping afterwards.
-        try:
-            with open(args.telemetry, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"error: cannot write {args.telemetry}: {exc}", file=sys.stderr)
-            return 2
+    if _telemetry_unwritable(args):
+        return 2
     lo, _, hi = args.segments.partition(":")
     segments = range(int(lo), int(hi))
     trained = load_trained(args.model)
@@ -324,16 +349,8 @@ def _cmd_evaluate(args) -> int:
     if args.retries < 1:
         print("error: --retries must be >= 1", file=sys.stderr)
         return 2
-    faulty = args.fault_rate > 0.0 or args.fault_timeout is not None
-    if faulty:
-        platform = ServerlessPlatform(
-            seed=args.seed,
-            faults=FaultModel(failure_rate=args.fault_rate,
-                              timeout_s=args.fault_timeout),
-            retry_policy=RetryPolicy(max_attempts=args.retries),
-        )
-    else:
-        platform = ServerlessPlatform()
+    platform = _platform(args, args.seed)
+    faulty = platform.faults_active
     grid = config_grid()
     registry = MetricsRegistry() if args.telemetry else None
     rows = []
@@ -469,10 +486,44 @@ def _validate_serve_args(args) -> None:
             )
 
 
+def _load_config(kind: str, path: str | None):
+    """The parsed ``--fleet``/``--generation``/``--outages`` document, or
+    None without the flag; a schema violation becomes a ``ValueError``
+    that names the document."""
+    if not path:
+        return None
+    from repro.serving import (
+        ConfigError,
+        load_fleet_config,
+        load_generation_config,
+        load_outage_config,
+    )
+
+    loader = {"fleet": load_fleet_config,
+              "generation": load_generation_config,
+              "outage": load_outage_config}[kind]
+    try:
+        return loader(path)
+    except ConfigError as exc:
+        raise ValueError(f"invalid {kind} config: {exc}") from exc
+
+
+def _split_at_segment(trace, start_segment: int):
+    """``(history, serve_ts)``: the arrivals before ``--start-segment``
+    seed the controllers, the rest are served."""
+    if not 0 <= start_segment < trace.n_segments:
+        raise ValueError("--start-segment out of range")
+    cut = start_segment * trace.segment_duration
+    at = int(np.searchsorted(trace.timestamps, cut))
+    history, serve_ts = trace.timestamps[:at], trace.timestamps[at:]
+    if serve_ts.size == 0:
+        raise ValueError("nothing to serve after --start-segment")
+    return history, serve_ts
+
+
 def _cmd_serve(args) -> int:
     from repro.batching.config import BatchConfig
     from repro.core.drift import WorkloadDriftDetector
-    from repro.serverless.service_profile import ColdStartModel
     from repro.serving import (
         CheckpointError,
         DriftConfig,
@@ -483,55 +534,22 @@ def _cmd_serve(args) -> int:
 
     try:
         _validate_serve_args(args)
+        fleet_cfg = _load_config("fleet", args.fleet)
+        generation_cfg = _load_config("generation", args.generation)
+        outage_cfg, degrade_cfg = (_load_config("outage", args.outages)
+                                   or (None, None))
+        trace = load_trace(args.trace)
+        history, serve_ts = _split_at_segment(trace, args.start_segment)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.fleet:
-        return _cmd_serve_fleet(args)
-    if args.telemetry:
-        try:
-            with open(args.telemetry, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"error: cannot write {args.telemetry}: {exc}", file=sys.stderr)
-            return 2
-    generation_cfg = None
-    if args.generation:
-        from repro.serving import GenerationConfigError, load_generation_config
-
-        try:
-            generation_cfg = load_generation_config(args.generation)
-        except GenerationConfigError as exc:
-            print(f"error: invalid generation config: {exc}", file=sys.stderr)
-            return 2
-    outage_cfg = degrade_cfg = None
-    if args.outages:
-        from repro.serving import OutageConfigError, load_outage_config
-
-        try:
-            outage_cfg, degrade_cfg = load_outage_config(args.outages)
-        except OutageConfigError as exc:
-            print(f"error: invalid outage config: {exc}", file=sys.stderr)
-            return 2
-    trace = load_trace(args.trace)
-    if not 0 <= args.start_segment < trace.n_segments:
-        print("error: --start-segment out of range", file=sys.stderr)
+    if _telemetry_unwritable(args):
         return 2
-    cut = args.start_segment * trace.segment_duration
-    at = int(np.searchsorted(trace.timestamps, cut))
-    history, serve_ts = trace.timestamps[:at], trace.timestamps[at:]
-    if serve_ts.size == 0:
-        print("error: nothing to serve after --start-segment", file=sys.stderr)
-        return 2
+    if fleet_cfg is not None:
+        return _cmd_serve_fleet(args, fleet_cfg, trace, history, serve_ts)
 
-    faulty = args.fault_rate > 0.0 or args.fault_timeout is not None
-    platform = ServerlessPlatform(
-        seed=args.seed,
-        cold_start=ColdStartModel() if args.cold_starts else None,
-        faults=(FaultModel(failure_rate=args.fault_rate,
-                           timeout_s=args.fault_timeout) if faulty else None),
-        retry_policy=RetryPolicy(max_attempts=args.retries),
-    )
+    platform = _platform(args, args.seed)
+    faulty = platform.faults_active
     config = BatchConfig(memory_mb=args.memory, batch_size=args.batch_size,
                          timeout=args.timeout)
     chooser = None
@@ -714,7 +732,7 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_fleet(args) -> int:
+def _cmd_serve_fleet(args, fleet_cfg, trace, history, serve_ts) -> int:
     """``repro serve --fleet fleet.json``: multi-endpoint fleet serving.
 
     The trace is split across the endpoints by their ``share`` weights;
@@ -723,14 +741,8 @@ def _cmd_serve_fleet(args) -> int:
     ``--cold-starts``, ``--fault-rate``/``--fault-timeout``/``--retries``)
     apply to every endpoint; per-endpoint knobs live in the config file.
     """
-    from repro.serverless.service_profile import ColdStartModel
-    from repro.serving import FleetConfigError, load_fleet_config, split_by_shares
+    from repro.serving import split_by_shares
 
-    try:
-        fleet_cfg = load_fleet_config(args.fleet)
-    except FleetConfigError as exc:
-        print(f"error: invalid fleet config: {exc}", file=sys.stderr)
-        return 2
     missing = [ep.name for ep in fleet_cfg.endpoints if ep.share is None]
     if missing:
         print(f"error: invalid fleet config: endpoints need a 'share' to "
@@ -742,40 +754,13 @@ def _cmd_serve_fleet(args) -> int:
         print(f"error: --model is required for deepbat endpoints: "
               f"{needs_model}", file=sys.stderr)
         return 2
-    if args.telemetry:
-        try:
-            with open(args.telemetry, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(f"error: cannot write {args.telemetry}: {exc}", file=sys.stderr)
-            return 2
-
-    trace = load_trace(args.trace)
-    if not 0 <= args.start_segment < trace.n_segments:
-        print("error: --start-segment out of range", file=sys.stderr)
-        return 2
-    cut = args.start_segment * trace.segment_duration
-    at = int(np.searchsorted(trace.timestamps, cut))
-    history, serve_ts = trace.timestamps[:at], trace.timestamps[at:]
-    if serve_ts.size == 0:
-        print("error: nothing to serve after --start-segment", file=sys.stderr)
-        return 2
-
-    faulty = args.fault_rate > 0.0 or args.fault_timeout is not None
     trained = load_trained(args.model) if needs_model else None
 
     def platform_factory(ep):
         # Distinct seeds decorrelate per-endpoint fault/cold draws while
         # keeping the whole fleet a function of --seed.
         index = [e.name for e in fleet_cfg.endpoints].index(ep.name)
-        return ServerlessPlatform(
-            seed=args.seed + index,
-            cold_start=ColdStartModel() if args.cold_starts else None,
-            faults=(FaultModel(failure_rate=args.fault_rate,
-                               timeout_s=args.fault_timeout)
-                    if faulty else None),
-            retry_policy=RetryPolicy(max_attempts=args.retries),
-        )
+        return _platform(args, args.seed + index)
 
     def chooser_factory(ep, platform):
         if ep.chooser == "deepbat":

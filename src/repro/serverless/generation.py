@@ -185,11 +185,6 @@ class TokenLengthModel:
         np.minimum(outputs, self.output_max, out=outputs)
         return prompts, outputs
 
-    def fingerprint(self) -> tuple:
-        """Scalar identity for checkpoint compatibility checks."""
-        return (self.prompt_mean, self.prompt_max,
-                self.output_mean, self.output_max)
-
 
 #: Token profile wrapping the TED-LIUM-like default calibration.
 DEFAULT_TOKEN_PROFILE = TokenServiceProfile(profile=DEFAULT_PROFILE)

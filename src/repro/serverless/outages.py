@@ -48,9 +48,6 @@ class OutageWindow:
                 f"end must be > start, got [{self.start}, {self.end})"
             )
 
-    def fingerprint(self) -> tuple:
-        return (float(self.start), float(self.end))
-
 
 @dataclass(frozen=True)
 class CrashHazard:
@@ -84,9 +81,6 @@ class CrashHazard:
             return self.outage_rate
         return self.rate
 
-    def fingerprint(self) -> tuple:
-        return (self.rate, self.outage_rate)
-
 
 @dataclass(frozen=True)
 class StragglerModel:
@@ -111,9 +105,6 @@ class StragglerModel:
     @property
     def enabled(self) -> bool:
         return self.rate > 0.0 and self.slowdown > 1.0
-
-    def fingerprint(self) -> tuple:
-        return (self.rate, self.slowdown)
 
 
 @dataclass(frozen=True)
@@ -183,17 +174,6 @@ class OutageModel:
                                    spawn_key=(container_id,))
         )
         return sm.slowdown if float(rng.random()) < sm.rate else 1.0
-
-    def fingerprint(self) -> tuple:
-        """Checkpoint identity: restoring under a different outage model
-        must be refused, so every behavioural field participates."""
-        return (
-            "outages",
-            tuple(w.fingerprint() for w in self.windows),
-            self.crash.fingerprint() if self.crash is not None else None,
-            self.straggler.fingerprint() if self.straggler is not None else None,
-            self.seed,
-        )
 
 
 def sample_outage_windows(

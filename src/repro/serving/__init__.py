@@ -66,7 +66,6 @@ from repro.serving.degrade import (
     DegradeConfig,
     FailoverConfig,
     HedgeConfig,
-    OutageConfigError,
     load_outage_config,
     validate_fleet_degrade,
     validate_outage_config,
@@ -80,9 +79,8 @@ from repro.serving.fleet import (
     FleetScheduler,
     split_by_shares,
 )
-from repro.serving.fleet_config import FleetConfigError, load_fleet_config
+from repro.serving.fleet_config import load_fleet_config
 from repro.serving.generation import (
-    GenerationConfigError,
     load_generation_config,
     validate_generation_config,
 )
@@ -110,15 +108,12 @@ __all__ = [
     "EndpointSpec",
     "FailoverConfig",
     "FleetBudget",
-    "FleetConfigError",
     "FleetEngine",
     "FleetLog",
     "FleetScheduler",
     "GenerationConfig",
-    "GenerationConfigError",
     "GuardrailConfig",
     "HedgeConfig",
-    "OutageConfigError",
     "MAPRateForecaster",
     "NHPPRateForecaster",
     "OracleForecaster",

@@ -233,21 +233,3 @@ class GenerationConfig:
             raise ValueError(f"tpot_slo must be > 0 or None, got {self.tpot_slo}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def fingerprint(self) -> tuple:
-        """Scalar identity for checkpoint compatibility checks.
-
-        The profile and length model are frozen dataclasses of scalars,
-        so (unlike the prewarm forecaster) they compare by value and can
-        join the fingerprint directly.
-        """
-        return (
-            self.token_profile,
-            self.length_model,
-            self.dispatcher,
-            self.max_batch_tokens,
-            self.max_waiting,
-            self.ttft_slo,
-            self.tpot_slo,
-            self.seed,
-        )

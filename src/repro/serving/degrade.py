@@ -23,8 +23,9 @@ falling over:
 
 The JSON loader mirrors the generation-config house style: one object for
 ``repro serve --outages outages.json`` (also embeddable per-endpoint in a
-fleet document), every violation raising :class:`OutageConfigError` with
-a path-qualified message, unknown keys rejected.
+fleet document), every violation raising
+:class:`~repro.serving.schema.ConfigError` with a path-qualified message,
+unknown keys rejected.
 
 Example::
 
@@ -73,7 +74,6 @@ __all__ = [
     "DegradeConfig",
     "FailoverConfig",
     "HedgeConfig",
-    "OutageConfigError",
     "load_outage_config",
     "validate_fleet_degrade",
     "validate_outage_config",
@@ -113,10 +113,6 @@ class HedgeConfig:
                 f"window must be >= min_observations, got {self.window}"
             )
 
-    def fingerprint(self) -> tuple:
-        return (self.percentile, self.multiplier, self.min_observations,
-                self.window)
-
 
 @dataclass(frozen=True)
 class DegradeConfig:
@@ -138,12 +134,6 @@ class DegradeConfig:
     def enabled(self) -> bool:
         return self.backoff is not None or self.hedge is not None
 
-    def fingerprint(self) -> tuple:
-        """Checkpoint identity; both members are frozen scalar dataclasses
-        so they compare by value across processes."""
-        return ("degrade", self.backoff,
-                self.hedge.fingerprint() if self.hedge is not None else None)
-
 
 @dataclass(frozen=True)
 class BrownoutConfig:
@@ -163,9 +153,6 @@ class BrownoutConfig:
                 f"max_total_queued must be >= 0, got {self.max_total_queued}"
             )
 
-    def fingerprint(self) -> tuple:
-        return ("brownout", self.max_total_queued)
-
 
 @dataclass(frozen=True)
 class FailoverConfig:
@@ -184,18 +171,10 @@ class FailoverConfig:
         if self.min_queue < 1:
             raise ValueError(f"min_queue must be >= 1, got {self.min_queue}")
 
-    def fingerprint(self) -> tuple:
-        return ("failover", self.min_queue)
-
 
 # --------------------------------------------------------------------------
 # JSON schema (``repro serve --outages`` / fleet per-endpoint "outages")
 # --------------------------------------------------------------------------
-
-
-#: Every serving config error is one :class:`ConfigError`; the name is
-#: kept for callers that catch outage-config errors.
-OutageConfigError = ConfigError
 
 
 _OUTAGE_KEYS = {"windows", "random", "crash", "straggler", "seed", "degrade"}
@@ -313,7 +292,7 @@ def validate_outage_config(
 ) -> tuple[OutageModel, DegradeConfig | None]:
     """Validate a parsed outage object into ``(OutageModel, DegradeConfig)``.
 
-    Raises :class:`OutageConfigError` with a path-qualified message on any
+    Raises :class:`ConfigError` with a path-qualified message on any
     violation; ``path`` prefixes the reported locations (the fleet passes
     ``endpoints[i].outages``). The second element is ``None`` when the
     document configures no degradation stack.
@@ -340,7 +319,7 @@ def validate_outage_config(
         )
     except ValueError as exc:
         # Window ordering is the model's own cross-field check.
-        raise OutageConfigError(f"{path}.windows: {exc}") from exc
+        raise ConfigError(f"{path}.windows: {exc}") from exc
     degrade = (
         _degrade(doc["degrade"], f"{path}.degrade")
         if doc.get("degrade") is not None else None
@@ -386,7 +365,7 @@ def load_outage_config(
 ) -> tuple[OutageModel, DegradeConfig | None]:
     """Read and validate an outage JSON file.
 
-    Raises :class:`OutageConfigError` with an actionable, path-qualified
+    Raises :class:`ConfigError` with an actionable, path-qualified
     message on any problem — unreadable file, invalid JSON, or a schema
     violation.
     """

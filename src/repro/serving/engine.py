@@ -66,8 +66,11 @@ resumed event stream exact, and the journal-replay check enforces it. An
 optional SLO guardrail (:mod:`repro.serving.guardrail`) watches completed
 latencies and circuit-breaks to a safe configuration when the learned
 controller's predictions go wrong at runtime. Both features are off by
-default, and when off every output is bit-identical to the pre-checkpoint
-build.
+default. A snapshot restores only into the build that wrote it
+(:data:`~repro.serving.checkpoint.SNAPSHOT_FORMAT`) and only into an engine
+whose every constructor parameter but the chooser compares equal to the
+writer's (:meth:`ServingEngine._fingerprint`); the run's counters are kept
+under the :class:`ServingLog` field names they end up in.
 
 Telemetry: counters and histograms are published once per run, from the
 finished :class:`ServingLog` (:meth:`ServingLog.publish`) and the buffer's
@@ -84,7 +87,7 @@ import os
 import pickle
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from heapq import heappop, heappush
 
@@ -165,6 +168,22 @@ _INF = float("inf")
 #: The stop of a drive with no snapshot cadence or chaos hook: an int, so
 #: the per-event stop check stays one int compare.
 _NO_STOP = sys.maxsize
+
+#: A run's counters, keyed by the :class:`ServingLog` fields they become;
+#: every run keeps all of them, and ``_finish`` passes them on as they are.
+_COUNTERS = {
+    "reconfigurations": 0, "drift_triggers": 0,
+    "prediction_drift_triggers": 0, "retrains": 0, "decision_errors": 0,
+    "shed_batches": 0, "queued_batches": 0, "n_retries": 0, "checkpoints": 0,
+    "guardrail_trips": 0, "guardrail_restores": 0, "guardrail_probes": 0,
+    "guardrail_suppressed": 0, "prewarm_ticks": 0, "prewarm_cost": 0.0,
+    "gen_sessions": 0, "gen_prefill_iterations": 0,
+    "gen_decode_iterations": 0, "gen_tokens": 0, "gen_shed": 0,
+    "crashed_containers": 0, "crash_requeued": 0, "straggler_batches": 0,
+    "cold_retries": 0, "cold_retry_exhausted": 0, "hedges": 0,
+    "hedge_wins": 0, "hedge_denied": 0, "hedge_cost": 0.0,
+    "brownout_shed": 0, "failover_batches": 0,
+}
 
 
 @dataclass
@@ -571,13 +590,7 @@ class ServingEngine:
             shed=np.zeros(n, dtype=bool),
             failed=np.zeros(n, dtype=bool),
             trace=[] if record_trace else None,
-            counters={
-                "reconfigurations": 0, "drift": 0, "pred_drift": 0,
-                "retrains": 0, "shed_batches": 0, "n_retries": 0,
-                "guardrail_trips": 0, "guardrail_restores": 0,
-                "guardrail_probes": 0, "guardrail_suppressed": 0,
-                "checkpoints": 0, "queued_batches": 0,
-            },
+            counters=dict(_COUNTERS),
         )
         if self.guardrail_config is not None:
             # In generation mode the breaker watches TTFT windows: the
@@ -590,30 +603,15 @@ class ServingEngine:
             )
         gen = self.generation_config
         if gen is not None:
-            # Like the prewarm counters: generation state exists only when
-            # the feature is on, so a defaults-off run's state (and its
-            # snapshots) match the request-level engine exactly.
             st.prompt_tokens, st.output_tokens = gen.length_model.sample(
                 n, gen.seed
             )
             st.ttft = np.full(n, np.nan)
             st.tpot = np.full(n, np.nan)
-            st.counters.update(gen_sessions=0, gen_prefill_iterations=0,
-                               gen_decode_iterations=0, gen_tokens=0,
-                               gen_shed=0)
             if self._gen_continuous:
                 st.gen_queue = deque()
                 st.gen_sessions = {}
                 st.gen_session_meta = {}
-        if self.outage_config is not None or self.degrade_config is not None:
-            # Like the prewarm/generation counters: degradation state
-            # exists only when the fault layer or the stack is on, so a
-            # defaults-off run's state (and snapshots) are untouched.
-            st.counters.update(
-                crashed_containers=0, crash_requeued=0, straggler_batches=0,
-                cold_retries=0, cold_retry_exhausted=0, hedges=0,
-                hedge_wins=0, hedge_denied=0, hedge_cost=0.0,
-            )
         if self._crash_hazard or self._hedge is not None:
             # container_id -> (expected completion, Batch) of the primary
             # dispatch; a crash or hedge check looks its victim up here.
@@ -623,15 +621,10 @@ class ServingEngine:
             st.hedged = np.zeros(n, dtype=bool)
         if self._failover_enabled:
             st.failed_over = np.zeros(n, dtype=bool)
-            st.counters["failover_batches"] = 0
         if n and self.chooser is not None and self.decision_interval_s:
             self._push(st, float(ts[0]) + self.decision_interval_s, _P_DECISION,
                        _K_DECISION, "interval")
         if n and self.prewarm_config is not None:
-            # The prewarm counters exist only when the feature is on, so a
-            # defaults-off run's state (and snapshots) match PR 7 exactly.
-            st.counters["prewarm_ticks"] = 0
-            st.counters["prewarm_cost"] = 0.0
             # First tick at the trace start: with warmup ``history`` seeding
             # recent_ts the forecaster can cover the opening burst front.
             self._push(st, float(ts[0]), _P_PREWARM, _K_PREWARM, None)
@@ -715,54 +708,32 @@ class ServingEngine:
             ctx.journal.close()
 
     def _fingerprint(self) -> dict:
-        """Engine parameters a checkpoint must agree on to be resumable."""
-        dc = self.drift_config
-        pc = self.prediction_config
+        """What a checkpoint must agree on to be resumable, keyed by
+        constructor parameter. Configs compare by value; the chooser
+        travels in the snapshot itself."""
         return {
-            "initial_config": self.initial_config,
+            "config": self.initial_config,
+            "platform": self.platform,
             "slo": self.slo,
             "pool": self.pool_config,
             "deploy_delay_s": self.deploy_delay_s,
             "decision_interval_s": self.decision_interval_s,
             "history_tail": self.history_tail,
             "min_history": self.min_history,
-            "drift_window": dc.window,
-            "drift_check_every": dc.check_every,
-            "drift_cooldown_s": dc.cooldown_s,
-            "retrain_delay_s": dc.retrain_delay_s,
-            "prediction_baseline_error": (
-                pc.baseline_error if pc is not None else None
-            ),
-            "prediction_tolerance": pc.tolerance if pc is not None else 2.0,
-            "prediction_min_samples": (
-                pc.min_samples if pc is not None else 64
-            ),
+            # The detector's state travels in the snapshot, and the retrain
+            # hook is code: only the policy scalars compare.
+            "drift": replace(self.drift_config, detector=None,
+                             on_retrain=None),
+            "prediction": self.prediction_config,
             "sequence_length": self.sequence_length,
             "guardrail": self.guardrail_config,
-            # Scalars only (the forecaster object would never compare equal
-            # across processes — like the drift detector, it is restored by
-            # constructing the engine identically). Disabled → None here
-            # and for every feature config below.
             "prewarm": (
                 self.prewarm_config.fingerprint()
                 if self.prewarm_config is not None else None
             ),
-            "generation": (
-                self.generation_config.fingerprint()
-                if self.generation_config is not None else None
-            ),
-            "outages": (
-                self.outage_config.fingerprint()
-                if self.outage_config is not None else None
-            ),
-            "degrade": (
-                self.degrade_config.fingerprint()
-                if self.degrade_config is not None else None
-            ),
-            "platform_seed": self.platform.seed,
-            "platform_faults": self.platform.faults,
-            "platform_retry": self.platform.retry_policy,
-            "platform_concurrency": self.platform.concurrency_limit,
+            "generation": self.generation_config,
+            "outages": self.outage_config,
+            "degrade": self.degrade_config,
         }
 
     def _write_snapshot(self, st: _RunState, ctx: _RunContext) -> None:
@@ -1512,9 +1483,7 @@ class ServingEngine:
             except Exception:
                 # Live serving must survive a controller crash with no
                 # fallback decision; keep the active configuration.
-                st.counters["decision_errors"] = (
-                    st.counters.get("decision_errors", 0) + 1
-                )
+                st.counters["decision_errors"] += 1
                 self._emit(st, ctx, ("decision_error", now, reason))
                 decision = None
             if decision is not None:
@@ -1612,7 +1581,7 @@ class ServingEngine:
             )
             score = detector.score(window)
             if score >= detector.threshold:
-                st.counters["drift"] += 1
+                st.counters["drift_triggers"] += 1
                 st.cooldown_until = now + dc.cooldown_s
                 self._emit(st, ctx, ("drift", now, "workload", round(score, 9)))
                 self._trigger_decision(st, now, "drift")
@@ -1630,7 +1599,7 @@ class ServingEngine:
             if observed > 0:
                 error = abs(st.pred_p95 - observed) / observed
                 if prediction_drift(error, pc.baseline_error, pc.tolerance):
-                    st.counters["pred_drift"] += 1
+                    st.counters["prediction_drift_triggers"] += 1
                     st.cooldown_until = now + dc.cooldown_s
                     self._emit(st, ctx, ("drift", now, "prediction",
                                          round(error, 9)))
@@ -1728,32 +1697,18 @@ class ServingEngine:
             batch_cold_delay=b_cold_delay,
             batch_service=b_service,
             decisions=st.decisions,
-            reconfigurations=st.counters["reconfigurations"],
-            drift_triggers=st.counters["drift"],
-            prediction_drift_triggers=st.counters["pred_drift"],
-            retrains=st.counters["retrains"],
-            decision_errors=st.counters.get("decision_errors", 0),
-            shed_batches=st.counters["shed_batches"],
-            queued_batches=st.counters["queued_batches"],
             cold_starts=stats.cold_starts,
             warm_starts=stats.warm_starts,
             expired_containers=stats.expired,
             evicted_containers=stats.evicted,
             prewarmed_containers=stats.prewarmed,
             prewarm_retired=stats.retired,
-            prewarm_ticks=st.counters.get("prewarm_ticks", 0),
-            prewarm_cost=st.counters.get("prewarm_cost", 0.0),
-            n_retries=st.counters["n_retries"],
+            outage_denied=stats.outage_denied,
             # Counted from the mask: a winning hedge clears failures.
             n_failed=int(st.failed.sum()),
             sequence_length=self.sequence_length,
             event_trace=st.trace,
             n_events=st.events_processed,
-            checkpoints=st.counters["checkpoints"],
-            guardrail_trips=st.counters["guardrail_trips"],
-            guardrail_restores=st.counters["guardrail_restores"],
-            guardrail_probes=st.counters["guardrail_probes"],
-            guardrail_suppressed=st.counters["guardrail_suppressed"],
             guardrail_state=(
                 st.guardrail.state if st.guardrail is not None else None
             ),
@@ -1766,25 +1721,9 @@ class ServingEngine:
                 self.generation_config.tpot_slo
                 if self.generation_config is not None else None
             ),
-            gen_sessions=st.counters.get("gen_sessions", 0),
-            gen_prefill_iterations=st.counters.get("gen_prefill_iterations", 0),
-            gen_decode_iterations=st.counters.get("gen_decode_iterations", 0),
-            gen_tokens=st.counters.get("gen_tokens", 0),
-            gen_shed=st.counters.get("gen_shed", 0),
-            outage_denied=stats.outage_denied,
-            crashed_containers=st.counters.get("crashed_containers", 0),
-            crash_requeued=st.counters.get("crash_requeued", 0),
-            straggler_batches=st.counters.get("straggler_batches", 0),
-            cold_retries=st.counters.get("cold_retries", 0),
-            cold_retry_exhausted=st.counters.get("cold_retry_exhausted", 0),
-            hedges=st.counters.get("hedges", 0),
-            hedge_wins=st.counters.get("hedge_wins", 0),
-            hedge_denied=st.counters.get("hedge_denied", 0),
-            hedge_cost=st.counters.get("hedge_cost", 0.0),
-            brownout_shed=st.counters.get("brownout_shed", 0),
-            failover_batches=st.counters.get("failover_batches", 0),
             hedged=st.hedged,
             failed_over=st.failed_over,
+            **st.counters,
         )
         if ctx.registry.enabled:
             log.publish(ctx.registry, self.metrics_prefix)

@@ -851,9 +851,7 @@ class FleetEngine:
             batch = st.queue.pop()
             i0 = batch.first_index
             st.shed[i0:i0 + batch.size] = True
-            st.counters["brownout_shed"] = (
-                st.counters.get("brownout_shed", 0) + batch.size
-            )
+            st.counters["brownout_shed"] += batch.size
             if st.trace is not None or ctx.journal is not None:
                 eng._emit(st, ctx, ("brownout_shed", now, batch.size))
             total -= 1

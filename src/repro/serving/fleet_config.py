@@ -5,10 +5,10 @@ one JSON document declares the endpoints (name, initial ``(M, B, T)``,
 SLO, traffic share, per-endpoint pool/controller knobs) and the
 fleet-level settings (shared container budget, scheduler cadence). This
 module is the hand-rolled schema for that document — every violation
-raises :class:`FleetConfigError` with the *path* of the offending field
-(``endpoints[1].slo: must be > 0``), which the CLI converts into an
-``exit 2`` error message. Unknown keys are rejected (a typo'd knob must
-not silently become a no-op).
+raises :class:`~repro.serving.schema.ConfigError` with the *path* of the
+offending field (``endpoints[1].slo: must be > 0``), which the CLI
+converts into an ``exit 2`` error message. Unknown keys are rejected (a
+typo'd knob must not silently become a no-op).
 
 Example::
 
@@ -60,11 +60,6 @@ from repro.serving.schema import (
     load_json,
     number,
 )
-
-
-#: Every serving config error is one :class:`ConfigError`; the name is
-#: kept for callers that catch fleet errors.
-FleetConfigError = ConfigError
 
 
 #: Recognized chooser names (resolved by the caller's ``chooser_factory``).
@@ -267,7 +262,7 @@ def _endpoint(obj, path: str) -> EndpointConfig:
 
 
 def validate_fleet_config(doc) -> FleetConfig:
-    """Validate a parsed fleet document; raise :class:`FleetConfigError`."""
+    """Validate a parsed fleet document; raise :class:`ConfigError`."""
     if not isinstance(doc, dict):
         fail("fleet config", f"must be a JSON object, "
                               f"got {type(doc).__name__}")
@@ -321,7 +316,7 @@ def validate_fleet_config(doc) -> FleetConfig:
 def load_fleet_config(path: str | os.PathLike) -> FleetConfig:
     """Read and validate a fleet JSON file.
 
-    Raises :class:`FleetConfigError` with an actionable, path-qualified
+    Raises :class:`ConfigError` with an actionable, path-qualified
     message on any problem — unreadable file, invalid JSON, or a schema
     violation.
     """

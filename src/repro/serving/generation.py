@@ -11,9 +11,9 @@ coefficients. The same object appears in two places:
   error is one :class:`~repro.serving.schema.ConfigError`).
 
 Validation follows the fleet-config house style: every violation raises
-:class:`GenerationConfigError` naming the *path* of the offending field
-(``generation.length_model.output_mean: must be >= 1``), unknown keys are
-rejected, and the CLI converts the error into ``exit 2``.
+:class:`~repro.serving.schema.ConfigError` naming the *path* of the
+offending field (``generation.length_model.output_mean: must be >= 1``),
+unknown keys are rejected, and the CLI converts the error into ``exit 2``.
 
 The prefill side of the timing model is always the platform's calibrated
 :class:`~repro.serverless.service_profile.ServiceProfile` — JSON cannot
@@ -52,15 +52,9 @@ from repro.serving.schema import (
 )
 
 __all__ = [
-    "GenerationConfigError",
     "load_generation_config",
     "validate_generation_config",
 ]
-
-
-#: Every serving config error is one :class:`ConfigError`; the name is
-#: kept for callers that catch generation-config errors.
-GenerationConfigError = ConfigError
 
 
 _GENERATION_KEYS = {
@@ -106,7 +100,7 @@ def _profile(obj, path: str) -> TokenServiceProfile:
 def validate_generation_config(doc, path: str = "generation") -> GenerationConfig:
     """Validate a parsed generation object into a :class:`GenerationConfig`.
 
-    Raises :class:`GenerationConfigError` with a path-qualified message on
+    Raises :class:`ConfigError` with a path-qualified message on
     any violation; ``path`` prefixes the reported locations (the fleet
     passes ``endpoints[i].generation``).
     """
@@ -145,7 +139,7 @@ def validate_generation_config(doc, path: str = "generation") -> GenerationConfi
 def load_generation_config(path: str | os.PathLike) -> GenerationConfig:
     """Read and validate a generation JSON file.
 
-    Raises :class:`GenerationConfigError` with an actionable,
+    Raises :class:`ConfigError` with an actionable,
     path-qualified message on any problem — unreadable file, invalid
     JSON, or a schema violation.
     """

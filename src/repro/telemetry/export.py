@@ -164,31 +164,14 @@ def render_dashboard(
             title="fleet",
         ))
 
-    prewarm = _prewarm_rows(by_type)
-    if prewarm:
-        sections.append(format_table(
-            ["scope", "ticks", "provisioned", "retired", "prewarm cost $"],
-            prewarm,
-            title="prewarming",
-        ))
-
-    generation = _generation_rows(by_type)
-    if generation:
-        sections.append(format_table(
-            ["scope", "requests", "sessions", "prefills", "decodes",
-             "tokens", "shed"],
-            generation,
-            title="generation",
-        ))
-
-    degradation = _degradation_rows(by_type)
-    if degradation:
-        sections.append(format_table(
-            ["scope", "crashes", "requeued", "stragglers", "retries",
-             "hedges", "wins", "brownout", "failover"],
-            degradation,
-            title="degradation",
-        ))
+    for title, namespaces, known, columns in _SCOPED_SECTIONS:
+        rows = _scoped_rows(by_type, namespaces, known, columns)
+        if rows:
+            sections.append(format_table(
+                ["scope", *(header for header, _m, _f in columns)],
+                rows,
+                title=title,
+            ))
 
     reliability = _reliability_rows(by_type, by_kind)
     if reliability:
@@ -348,12 +331,12 @@ def _fleet_rows(by_type: dict) -> list[list]:
     per_endpoint: dict[str, dict[str, float]] = defaultdict(dict)
     for name, value in counters.items():
         parts = name.split(".")
-        # "prewarm" and "gen" are single-engine namespaces
+        # The scoped sections' namespaces are single-engine namespaces
         # (serving.prewarm.ticks, serving.gen.requests, ...), not
         # endpoints — without the exclusion they would show up here as
         # phantom endpoint rows.
         if (len(parts) == 3 and parts[0] == "serving"
-                and parts[1] not in ("prewarm", "gen", "outage", "degrade")):
+                and parts[1] not in _ENGINE_NAMESPACES):
             per_endpoint[parts[1]][parts[2]] = value
     if not per_endpoint:
         return []
@@ -373,103 +356,54 @@ def _fleet_rows(by_type: dict) -> list[list]:
     ]
 
 
-def _prewarm_rows(by_type: dict) -> list[list]:
-    """Predictive-prewarming scorecard: the provisioning-cost vs
-    cold-start-latency trade-off per scope. The single engine emits
-    ``serving.prewarm.<metric>``; fleet lanes emit
-    ``serving.<endpoint>.prewarm.<metric>``. Rows appear only when a
-    prewarming policy actually ticked."""
-    counters = {c["name"]: c["value"] for c in by_type.get("counter", [])}
-    metrics_known = {"ticks", "provisioned", "retired", "cost"}
+#: The per-scope sections over ``serving.[<endpoint>.]<namespace>.<metric>``
+#: counters: title, namespaces, the metrics an endpoint scope may carry,
+#: and the ``(header, metric, format)`` columns.
+_SCOPED_SECTIONS = (
+    ("prewarming", ("prewarm",),
+     {"ticks", "provisioned", "retired", "cost"},
+     (("ticks", "ticks", int), ("provisioned", "provisioned", int),
+      ("retired", "retired", int),
+      ("prewarm cost $", "cost", "{:.6f}".format))),
+    ("generation", ("gen",),
+     {"requests", "sessions", "prefill_iterations", "decode_iterations",
+      "tokens", "shed"},
+     (("requests", "requests", int), ("sessions", "sessions", int),
+      ("prefills", "prefill_iterations", int),
+      ("decodes", "decode_iterations", int), ("tokens", "tokens", int),
+      ("shed", "shed", int))),
+    ("degradation", ("outage", "degrade"),
+     {"crashes", "crash_requeued", "straggler_batches", "cold_retries",
+      "retry_exhausted", "hedges", "hedge_wins", "hedge_denied",
+      "hedge_cost", "brownout_shed", "failover"},
+     (("crashes", "crashes", int), ("requeued", "crash_requeued", int),
+      ("stragglers", "straggler_batches", int),
+      ("retries", "cold_retries", int), ("hedges", "hedges", int),
+      ("wins", "hedge_wins", int), ("brownout", "brownout_shed", int),
+      ("failover", "failover", int))),
+)
+_ENGINE_NAMESPACES = {ns for _t, namespaces, _k, _c in _SCOPED_SECTIONS
+                      for ns in namespaces}
+
+
+def _scoped_rows(by_type: dict, namespaces: tuple, known: set,
+                 columns: tuple) -> list[list]:
+    """One row per scope: the single engine emits
+    ``serving.<namespace>.<metric>`` (scope ``engine``), fleet lanes emit
+    ``serving.<endpoint>.<namespace>.<metric>``. Rows appear only when the
+    feature published a counter."""
     per_scope: dict[str, dict[str, float]] = defaultdict(dict)
-    for name, value in counters.items():
-        parts = name.split(".")
-        if len(parts) == 3 and parts[:2] == ["serving", "prewarm"]:
-            per_scope["engine"][parts[2]] = value
-        elif (len(parts) == 4 and parts[0] == "serving"
-              and parts[2] == "prewarm" and parts[3] in metrics_known):
-            per_scope[parts[1]][parts[3]] = value
+    for counter in by_type.get("counter", []):
+        parts = counter["name"].split(".")
+        if parts[0] != "serving":
+            continue
+        if len(parts) == 3 and parts[1] in namespaces:
+            per_scope["engine"][parts[2]] = counter["value"]
+        elif (len(parts) == 4 and parts[2] in namespaces
+              and parts[3] in known):
+            per_scope[parts[1]][parts[3]] = counter["value"]
     return [
-        [
-            scope,
-            int(metrics.get("ticks", 0)),
-            int(metrics.get("provisioned", 0)),
-            int(metrics.get("retired", 0)),
-            f"{metrics.get('cost', 0.0):.6f}",
-        ]
-        for scope, metrics in sorted(per_scope.items())
-    ]
-
-
-def _generation_rows(by_type: dict) -> list[list]:
-    """Token-streaming scorecard per scope from the ``gen.*`` counters.
-
-    The single engine emits ``serving.gen.<metric>``; fleet lanes emit
-    ``serving.<endpoint>.gen.<metric>``. Rows appear only when a
-    generation workload actually ran."""
-    counters = {c["name"]: c["value"] for c in by_type.get("counter", [])}
-    metrics_known = {
-        "requests", "sessions", "prefill_iterations", "decode_iterations",
-        "tokens", "shed",
-    }
-    per_scope: dict[str, dict[str, float]] = defaultdict(dict)
-    for name, value in counters.items():
-        parts = name.split(".")
-        if len(parts) == 3 and parts[:2] == ["serving", "gen"]:
-            per_scope["engine"][parts[2]] = value
-        elif (len(parts) == 4 and parts[0] == "serving"
-              and parts[2] == "gen" and parts[3] in metrics_known):
-            per_scope[parts[1]][parts[3]] = value
-    return [
-        [
-            scope,
-            int(metrics.get("requests", 0)),
-            int(metrics.get("sessions", 0)),
-            int(metrics.get("prefill_iterations", 0)),
-            int(metrics.get("decode_iterations", 0)),
-            int(metrics.get("tokens", 0)),
-            int(metrics.get("shed", 0)),
-        ]
-        for scope, metrics in sorted(per_scope.items())
-    ]
-
-
-def _degradation_rows(by_type: dict) -> list[list]:
-    """Infrastructure-fault + graceful-degradation scorecard per scope.
-
-    The single engine emits ``serving.outage.<metric>`` and
-    ``serving.degrade.<metric>``; fleet lanes emit
-    ``serving.<endpoint>.outage.<metric>`` / ``....degrade.<metric>``.
-    Rows appear only when the fault layer or a degradation policy
-    actually fired."""
-    counters = {c["name"]: c["value"] for c in by_type.get("counter", [])}
-    metrics_known = {
-        "crashes", "crash_requeued", "straggler_batches", "cold_retries",
-        "retry_exhausted", "hedges", "hedge_wins", "hedge_denied",
-        "hedge_cost", "brownout_shed", "failover",
-    }
-    per_scope: dict[str, dict[str, float]] = defaultdict(dict)
-    for name, value in counters.items():
-        parts = name.split(".")
-        if (len(parts) == 3 and parts[0] == "serving"
-                and parts[1] in ("outage", "degrade")):
-            per_scope["engine"][parts[2]] = value
-        elif (len(parts) == 4 and parts[0] == "serving"
-              and parts[2] in ("outage", "degrade")
-              and parts[3] in metrics_known):
-            per_scope[parts[1]][parts[3]] = value
-    return [
-        [
-            scope,
-            int(metrics.get("crashes", 0)),
-            int(metrics.get("crash_requeued", 0)),
-            int(metrics.get("straggler_batches", 0)),
-            int(metrics.get("cold_retries", 0)),
-            int(metrics.get("hedges", 0)),
-            int(metrics.get("hedge_wins", 0)),
-            int(metrics.get("brownout_shed", 0)),
-            int(metrics.get("failover", 0)),
-        ]
+        [scope, *(fmt(metrics.get(metric, 0)) for _h, metric, fmt in columns)]
         for scope, metrics in sorted(per_scope.items())
     ]
 

@@ -78,7 +78,7 @@ class TestBATCHController:
         decision = ctrl.choose(hist, slo=0.1)
         assert decision.fit_time >= 0
         assert decision.solve_time > 0
-        assert decision.total_time == pytest.approx(
+        assert decision.decision_time == pytest.approx(
             decision.fit_time + decision.solve_time
         )
 

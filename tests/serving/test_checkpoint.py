@@ -9,6 +9,8 @@ writes, journal round-trips and torn-tail tolerance, fingerprint rejection
 of mismatched engines, and replay divergence detection.
 """
 
+import dataclasses
+import inspect
 import json
 import os
 import pickle
@@ -18,13 +20,30 @@ import pytest
 
 from repro.batching.config import BatchConfig
 from repro.core.types import Decision
-from repro.serverless.faults import FaultModel
+from repro.serverless.faults import FaultModel, RetryPolicy
+from repro.serverless.generation import TokenLengthModel, TokenServiceProfile
+from repro.serverless.outages import (
+    CrashHazard,
+    OutageModel,
+    OutageWindow,
+    StragglerModel,
+)
 from repro.serverless.platform import ServerlessPlatform
-from repro.serverless.service_profile import ColdStartModel
+from repro.serverless.pricing import DEFAULT_GB_SECOND_PRICE, LambdaPricing
+from repro.serverless.service_profile import ColdStartModel, ServiceProfile
 from repro.serving import (
     CheckpointError,
+    DegradeConfig,
+    DriftConfig,
+    EmpiricalRateForecaster,
+    GenerationConfig,
+    GuardrailConfig,
+    HedgeConfig,
     Journal,
     JournalReplayError,
+    OracleForecaster,
+    PredictionDriftConfig,
+    PrewarmConfig,
     ServingEngine,
     SimulatedCrash,
     WarmPoolConfig,
@@ -210,6 +229,186 @@ class TestRestoreValidation:
             build_engine().run(trace(n=50), checkpoint_every=0)
         with pytest.raises(ValueError, match="crash_after_events"):
             build_engine().run(trace(n=50), crash_after_events=0)
+
+
+def crashed_checkpoint(tmp_path, engine, ts, name="crash.ckpt"):
+    ck = tmp_path / name
+    with pytest.raises(SimulatedCrash):
+        engine.run(ts, checkpoint_path=ck, checkpoint_every=32,
+                   crash_after_events=100)
+    return ck
+
+
+#: Every optional field set, so each one has a value to change.
+FULL_PLATFORM = ServerlessPlatform(
+    profile=ServiceProfile(),
+    pricing=LambdaPricing(),
+    cold_start=ColdStartModel(cold_probability=0.5),
+    concurrency_limit=4,
+    seed=123,
+    faults=FaultModel(failure_rate=0.1, timeout_s=1.0),
+    retry_policy=RetryPolicy(max_total_delay_s=2.0),
+)
+FULL_ENGINE = dict(
+    config=CONFIG,
+    platform=FULL_PLATFORM,
+    slo=0.1,
+    pool=WarmPoolConfig(keep_alive_s=2.0, max_containers=4,
+                        max_queued_batches=2),
+    deploy_delay_s=0.25,
+    decision_interval_s=0.5,
+    history_tail=512,
+    min_history=16,
+    drift=DriftConfig(window=48, check_every=24, cooldown_s=9.0,
+                      retrain_delay_s=1.5),
+    prediction=PredictionDriftConfig(baseline_error=0.2, tolerance=4.0,
+                                     min_samples=16),
+    sequence_length=64,
+    guardrail=GuardrailConfig(fallback=OTHER),
+    prewarm=PrewarmConfig(forecaster=EmpiricalRateForecaster(),
+                          horizon_s=2.0, max_per_tick=3),
+    outages=OutageModel(
+        windows=(OutageWindow(0.5, 1.0),),
+        crash=CrashHazard(rate=0.01, outage_rate=0.05),
+        straggler=StragglerModel(rate=0.1, slowdown=2.0),
+        seed=3,
+    ),
+    degrade=DegradeConfig(backoff=RetryPolicy(max_total_delay_s=1.0),
+                          hedge=HedgeConfig()),
+)
+#: Generation excludes faults and outages, so it gets its own engine.
+GEN_ENGINE = dict(
+    config=CONFIG,
+    platform=dataclasses.replace(FULL_PLATFORM, faults=None),
+    generation=GenerationConfig(
+        token_profile=TokenServiceProfile(),
+        length_model=TokenLengthModel(),
+        max_batch_tokens=4096,
+        max_waiting=8,
+        ttft_slo=0.2,
+        tpot_slo=0.05,
+        seed=1,
+    ),
+)
+#: Members with no value equality; they are not part of the identity
+#: (the prewarm forecaster enters by class name, tested on its own).
+OPAQUE = {("drift", "detector"), ("drift", "on_retrain"),
+          ("prewarm", "forecaster")}
+
+
+def _different(value):
+    """Valid replacement candidates for a scalar field value."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, str):
+        return [{"continuous": "buffer", "buffer": "continuous"}[value]]
+    if isinstance(value, int):
+        return [value + 1, value * 2]
+    return [value * 1.5, value * 0.5, value + 0.5]
+
+
+def _changed(value, key, path=()):
+    """Yield ``(path, changed)``: ``value`` with one leaf field set to a
+    valid different value, for every leaf of a nested config."""
+    if isinstance(value, tuple):
+        # A tuple of configs (outage windows): change its first member.
+        for sub, member in _changed(value[0], key, path + ("0",)):
+            yield sub, (member,) + value[1:]
+        return
+    if not dataclasses.is_dataclass(value):
+        for candidate in _different(value):
+            yield path, candidate
+        return
+    for name, inner in _members(value, key):
+        for sub, changed in _changed(inner, key, path + (name,)):
+            try:
+                outer = dataclasses.replace(value, **{name: changed})
+            except ValueError:
+                continue  # an invalid candidate; the next one is tried
+            yield sub, outer
+
+
+def _members(value, key):
+    for f in dataclasses.fields(value):
+        if (key, f.name) not in OPAQUE:
+            inner = getattr(value, f.name)
+            assert inner is not None, f"{key}.{f.name} must be set"
+            yield f.name, inner
+
+
+def _leaves(value, key, path=()):
+    if isinstance(value, tuple):
+        return _leaves(value[0], key, path + ("0",))
+    if not dataclasses.is_dataclass(value):
+        return {path}
+    return {leaf for name, inner in _members(value, key)
+            for leaf in _leaves(inner, key, path + (name,))}
+
+
+def _one_change_per_leaf(base, key):
+    changes = {}
+    for path, changed in _changed(base, key):
+        changes.setdefault(path, changed)
+    assert set(changes) == _leaves(base, key), "a field has no valid change"
+    return changes
+
+
+@pytest.mark.chaos
+class TestRestoreIdentity:
+    """A checkpoint restores only into an engine whose every config field
+    matches the one that wrote it: a different bill, profile or model
+    must be refused up front, not discovered (or missed) later."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("pricing", LambdaPricing(gb_second_price=10 * DEFAULT_GB_SECOND_PRICE)),
+        ("profile", ServiceProfile(base_time=0.01)),
+        ("cold_start", ColdStartModel(base_delay=0.5)),
+    ])
+    def test_platform_models_are_part_of_the_identity(self, tmp_path,
+                                                      field, value):
+        ck = crashed_checkpoint(tmp_path, build_engine(), trace(n=400))
+        other = build_engine()
+        other.platform = dataclasses.replace(other.platform, **{field: value})
+        # Without journal replay nothing but the fingerprint stands between
+        # the snapshot and a resumed run billed under the wrong platform.
+        with pytest.raises(CheckpointError, match=r"\['platform'\]"):
+            other.restore(ck, verify_journal=False)
+
+    def test_every_constructor_parameter_is_fingerprinted(self):
+        # The chooser travels inside the snapshot, and the metrics prefix
+        # only names telemetry.
+        params = set(inspect.signature(ServingEngine).parameters)
+        fp = ServingEngine(**FULL_ENGINE)._fingerprint()
+        assert set(fp) == params - {"chooser", "metrics_prefix"}
+
+    @pytest.mark.parametrize("base, key", [
+        *((FULL_ENGINE, k) for k in FULL_ENGINE),
+        (GEN_ENGINE, "generation"),
+    ], ids=[*FULL_ENGINE, "generation-config"])
+    def test_every_config_field_is_fingerprinted(self, tmp_path, base, key):
+        ck = crashed_checkpoint(tmp_path, ServingEngine(**base), trace(n=400))
+        theirs = ServingEngine(**base)._fingerprint()
+        changes = _one_change_per_leaf(base[key], key)
+        for path, changed in changes.items():
+            where = ".".join((key, *path))
+            engine = ServingEngine(**{**base, key: changed})
+            ours = engine._fingerprint()
+            assert [k for k in ours if ours[k] != theirs[k]] == [key], where
+            with pytest.raises(CheckpointError,
+                               match=rf"parameters: \['{key}'\]"):
+                engine.restore(ck, verify_journal=False)
+
+    def test_prewarm_forecaster_enters_by_class(self):
+        def fingerprint(forecaster):
+            prewarm = dataclasses.replace(FULL_ENGINE["prewarm"],
+                                          forecaster=forecaster)
+            return ServingEngine(**{**FULL_ENGINE, "prewarm": prewarm}
+                                 )._fingerprint()
+
+        base = ServingEngine(**FULL_ENGINE)._fingerprint()
+        assert fingerprint(EmpiricalRateForecaster()) == base
+        other = fingerprint(OracleForecaster(np.arange(3.0)))
+        assert [k for k in other if other[k] != base[k]] == ["prewarm"]
 
 
 class TestJournal:

@@ -1,9 +1,10 @@
 """Grouped-config engine API (PR 6).
 
 Drift and prediction-drift knobs reach ``ServingEngine`` only through
-:class:`DriftConfig` / :class:`PredictionDriftConfig`; the checkpoint
-fingerprint keeps the key names and values of the older flat spelling so
-snapshots written before the regroup still restore.
+:class:`DriftConfig` / :class:`PredictionDriftConfig`, and the checkpoint
+fingerprint holds them as configs: the prediction config by value, the
+drift config by its policy scalars (the fitted detector travels in the
+snapshot, and the retrain hook is code).
 """
 
 import warnings
@@ -18,12 +19,6 @@ from repro.serving import DriftConfig, PredictionDriftConfig, ServingEngine
 pytestmark = pytest.mark.serving
 
 CONFIG = BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05)
-
-DRIFT_KEYS = (
-    "drift_window", "drift_check_every", "drift_cooldown_s",
-    "retrain_delay_s", "prediction_baseline_error", "prediction_tolerance",
-    "prediction_min_samples",
-)
 
 
 def poisson(lam, n, seed):
@@ -74,36 +69,23 @@ class TestConfigValidation:
         with pytest.raises(AttributeError):
             cfg.window = 32
 
-    def test_fingerprint_keys_and_values_pinned(self):
-        # Checkpoints written before the grouped API carry these flat key
-        # names; restore compares the dicts key by key.
-        engine = ServingEngine(
-            CONFIG,
-            drift=DriftConfig(detector=fitted_detector(), window=48,
-                              check_every=24, cooldown_s=9.0,
-                              retrain_delay_s=1.5),
-            prediction=PredictionDriftConfig(baseline_error=0.2,
-                                             tolerance=4.0, min_samples=16),
-        )
-        fp = engine._fingerprint()
-        assert {k: fp[k] for k in DRIFT_KEYS} == {
-            "drift_window": 48, "drift_check_every": 24,
-            "drift_cooldown_s": 9.0, "retrain_delay_s": 1.5,
-            "prediction_baseline_error": 0.2, "prediction_tolerance": 4.0,
-            "prediction_min_samples": 16,
-        }
-        # A disabled prediction trigger keeps the old defaults.
-        fp = ServingEngine(CONFIG)._fingerprint()
-        assert {k: fp[k] for k in DRIFT_KEYS} == {
-            "drift_window": 64, "drift_check_every": 32,
-            "drift_cooldown_s": 30.0, "retrain_delay_s": None,
-            "prediction_baseline_error": None, "prediction_tolerance": 2.0,
-            "prediction_min_samples": 64,
-        }
-        assert sorted(fp) == sorted([
-            "initial_config", "slo", "pool", "deploy_delay_s",
-            "decision_interval_s", "history_tail", "min_history",
-            *DRIFT_KEYS, "sequence_length", "guardrail", "prewarm",
-            "generation", "outages", "degrade", "platform_seed",
-            "platform_faults", "platform_retry", "platform_concurrency",
-        ])
+    def test_fingerprint_holds_the_grouped_configs(self):
+        prediction = PredictionDriftConfig(baseline_error=0.2, tolerance=4.0,
+                                           min_samples=16)
+
+        def fingerprint(detector, on_retrain=None):
+            return ServingEngine(
+                CONFIG,
+                drift=DriftConfig(detector=detector, window=48,
+                                  check_every=24, cooldown_s=9.0,
+                                  retrain_delay_s=1.5, on_retrain=on_retrain),
+                prediction=prediction,
+            )._fingerprint()
+
+        fp = fingerprint(fitted_detector())
+        assert fp["drift"] == DriftConfig(window=48, check_every=24,
+                                          cooldown_s=9.0, retrain_delay_s=1.5)
+        assert fp["prediction"] == prediction
+        # Neither the detector object nor the hook is part of the identity.
+        assert fingerprint(None, on_retrain=print) == fp
+        assert ServingEngine(CONFIG)._fingerprint()["prediction"] is None

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.serving import FleetConfigError, FleetEngine, load_fleet_config
+from repro.serving import ConfigError, FleetEngine, load_fleet_config
 from repro.serving.fleet_config import validate_fleet_config
 
 pytestmark = [pytest.mark.serving, pytest.mark.fleet]
@@ -123,19 +123,19 @@ class TestLoadAndBuild:
 
 class TestFileErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FleetConfigError, match="cannot read"):
+        with pytest.raises(ConfigError, match="cannot read"):
             load_fleet_config(tmp_path / "nope.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(FleetConfigError, match="not valid JSON"):
+        with pytest.raises(ConfigError, match="not valid JSON"):
             load_fleet_config(path)
 
 
 class TestSchemaErrors:
     def reject(self, doc, pattern):
-        with pytest.raises(FleetConfigError, match=pattern):
+        with pytest.raises(ConfigError, match=pattern):
             validate_fleet_config(doc)
 
     def test_non_object_document(self):

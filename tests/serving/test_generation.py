@@ -30,10 +30,10 @@ from repro.serverless.faults import FaultModel
 from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ServiceProfile
 from repro.serving import (
+    ConfigError,
     EndpointSpec,
     FleetEngine,
     GenerationConfig,
-    GenerationConfigError,
     ServingEngine,
     WarmPoolConfig,
     assert_serving_logs_equal,
@@ -41,7 +41,7 @@ from repro.serving import (
     run_with_crashes,
     validate_generation_config,
 )
-from repro.serving.fleet_config import FleetConfigError, validate_fleet_config
+from repro.serving.fleet_config import validate_fleet_config
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 
 pytestmark = [pytest.mark.serving, pytest.mark.gen]
@@ -198,10 +198,10 @@ class TestTokenLengthModel:
         with pytest.raises(ValueError):
             TokenLengthModel(output_mean=100.0, output_max=10)
 
-    def test_fingerprint_distinguishes_models(self):
-        assert TokenLengthModel().fingerprint() != TokenLengthModel(
-            output_mean=8.0
-        ).fingerprint()
+    def test_models_compare_by_value(self):
+        # The checkpoint fingerprint holds the model itself.
+        assert TokenLengthModel() == TokenLengthModel()
+        assert TokenLengthModel() != TokenLengthModel(output_mean=8.0)
 
 
 # ----------------------------------------------------- continuous session
@@ -502,7 +502,7 @@ class TestGenerationConfigSchema:
         assert cfg.max_batch_tokens == 4096
         assert cfg.length_model.output_mean == 8.0
         assert cfg.token_profile.decode_time == 0.001
-        assert cfg.fingerprint() == validate_generation_config(doc).fingerprint()
+        assert cfg == validate_generation_config(doc)
 
     @pytest.mark.parametrize("doc, path_label", [
         ({"dispatcher": "magic"}, "generation.dispatcher"),
@@ -521,16 +521,16 @@ class TestGenerationConfigSchema:
         ([1, 2], "generation:"),
     ])
     def test_path_named_errors(self, doc, path_label):
-        with pytest.raises(GenerationConfigError, match=None) as err:
+        with pytest.raises(ConfigError, match=None) as err:
             validate_generation_config(doc)
         assert path_label in str(err.value)
 
     def test_unreadable_and_invalid_json(self, tmp_path):
-        with pytest.raises(GenerationConfigError, match="cannot read"):
+        with pytest.raises(ConfigError, match="cannot read"):
             load_generation_config(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(GenerationConfigError, match="not valid JSON"):
+        with pytest.raises(ConfigError, match="not valid JSON"):
             load_generation_config(bad)
 
     def test_config_post_init_validation(self):
@@ -556,7 +556,7 @@ class TestFleetGeneration:
             {"name": "chat", "memory_mb": 2048, "batch_size": 8,
              "timeout": 0.05, "generation": {"ttft_slo": -1}},
         ]}
-        with pytest.raises(FleetConfigError) as err:
+        with pytest.raises(ConfigError) as err:
             validate_fleet_config(doc)
         assert "endpoints[0].generation.ttft_slo" in str(err.value)
 

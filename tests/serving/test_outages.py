@@ -41,13 +41,13 @@ from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ColdStartModel
 from repro.serving import (
     BrownoutConfig,
+    ConfigError,
     DegradeConfig,
     EndpointSpec,
     FailoverConfig,
     FleetEngine,
     GuardrailConfig,
     HedgeConfig,
-    OutageConfigError,
     ServingEngine,
     WarmPoolConfig,
     assert_serving_logs_equal,
@@ -192,7 +192,7 @@ class TestOutageSchema:
         assert degrade.hedge.multiplier == 1.5
 
     def test_windows_and_random_are_exclusive(self):
-        with pytest.raises(OutageConfigError, match="mutually exclusive"):
+        with pytest.raises(ConfigError, match="mutually exclusive"):
             validate_outage_config({
                 "windows": [{"start": 0.0, "end": 1.0}],
                 "random": {"horizon_s": 10.0},
@@ -206,14 +206,14 @@ class TestOutageSchema:
             seed=9, horizon_s=200.0, mean_up_s=30.0, mean_down_s=5.0)
 
     def test_errors_are_path_qualified(self):
-        with pytest.raises(OutageConfigError, match=r"outages: unknown keys"):
+        with pytest.raises(ConfigError, match=r"outages: unknown keys"):
             validate_outage_config({"windwos": []})
-        with pytest.raises(OutageConfigError,
+        with pytest.raises(ConfigError,
                            match=r"outages\.windows\[0\]\.end"):
             validate_outage_config({"windows": [{"start": 5.0, "end": 5.0}]})
-        with pytest.raises(OutageConfigError, match=r"outages\.crash\.rate"):
+        with pytest.raises(ConfigError, match=r"outages\.crash\.rate"):
             validate_outage_config({"crash": {"rate": 2.0}})
-        with pytest.raises(OutageConfigError,
+        with pytest.raises(ConfigError,
                            match=r"ep\.outages\.straggler\.slowdown"):
             validate_outage_config({"straggler": {"slowdown": 0.5}},
                                    path="ep.outages")
@@ -224,11 +224,11 @@ class TestOutageSchema:
         assert degrade is None and model.enabled
 
     def test_loader_wraps_io_and_json_errors(self, tmp_path):
-        with pytest.raises(OutageConfigError, match="cannot read"):
+        with pytest.raises(ConfigError, match="cannot read"):
             load_outage_config(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        with pytest.raises(OutageConfigError, match="not valid JSON"):
+        with pytest.raises(ConfigError, match="not valid JSON"):
             load_outage_config(bad)
         good = tmp_path / "good.json"
         good.write_text('{"windows": [{"start": 1.0, "end": 2.0}]}')
@@ -243,9 +243,9 @@ class TestOutageSchema:
         assert brownout == BrownoutConfig(max_total_queued=6)
         assert failover == FailoverConfig(min_queue=2)
         assert validate_fleet_degrade({}) == (None, None)
-        with pytest.raises(OutageConfigError, match="max_total_queued"):
+        with pytest.raises(ConfigError, match="max_total_queued"):
             validate_fleet_degrade({"brownout": {}})
-        with pytest.raises(OutageConfigError,
+        with pytest.raises(ConfigError,
                            match=r"degrade\.failover\.min_queue"):
             validate_fleet_degrade({"failover": {"min_queue": 0}})
 

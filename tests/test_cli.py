@@ -250,6 +250,17 @@ class TestServeCommand:
         assert not get_registry().enabled
 
 
+    def test_unwritable_telemetry_exits_2_before_serving(self, trace_path,
+                                                        tmp_path, capsys):
+        dump = tmp_path / "no-such-dir" / "serving.jsonl"
+        rc = main(["serve", "--trace", str(trace_path),
+                   "--start-segment", "1", "--telemetry", str(dump)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot write {dump}")
+        assert out == ""
+
+
 class TestServeValidation:
     """PR 5 satellite: malformed serve inputs fail fast with exit code 2."""
 
@@ -448,6 +459,18 @@ class TestServeFleet:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--fleet" in err and flags[0] in err
+
+    def test_unwritable_telemetry_exits_2_before_serving(self, trace_path,
+                                                        fleet_path, tmp_path,
+                                                        capsys):
+        dump = tmp_path / "no-such-dir" / "fleet.jsonl"
+        rc = main(["serve", "--trace", str(trace_path),
+                   "--fleet", str(fleet_path), "--start-segment", "1",
+                   "--telemetry", str(dump)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot write {dump}")
+        assert out == ""
 
     def test_telemetry_and_fleet_dashboard(self, trace_path, fleet_path,
                                            tmp_path, capsys):
