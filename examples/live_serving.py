@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """Live serving loop (Fig. 2 request flow).
 
-Drives the *online* DeepBAT controller — Workload Parser, Buffer, and
-periodic re-optimization — request by request over a bursty stream, then
-reports achieved latency, cost, and the configuration trajectory. This is
-the deployment-shaped code path (the evaluation harness uses the vectorized
-equivalent).
+Serves a bursty stream request by request through the serving engine
+(batching buffer, warm container pool, per-batch billing) with the online
+DeepBAT controller re-optimizing ``(M, B, T)`` every few simulated
+seconds, then reports achieved latency, cost, and the configuration
+trajectory. Each batch is billed at the memory it actually ran with. This
+is the deployment-shaped code path (the evaluation harness uses the
+vectorized equivalent).
 
 Run:  python examples/live_serving.py
 """
@@ -16,8 +18,10 @@ from repro.arrival import mmpp2_with_burstiness
 from repro.core import DeepBATController
 from repro.evaluation import format_series, get_workbench
 from repro.serverless import cost_per_million
+from repro.serving import ServingEngine
 
 SLO = 0.1
+DECISION_INTERVAL_S = 10.0
 
 
 def main() -> None:
@@ -29,30 +33,21 @@ def main() -> None:
     arrivals = proc.sample(duration=120.0, seed=11)
     print(f"   {arrivals.size} requests")
 
-    print("Serving with online re-optimization every 512 requests...")
-    batches, decisions = controller.serve(arrivals, slo=SLO, reoptimize_every=512)
+    print(f"Serving with online re-optimization every "
+          f"{DECISION_INTERVAL_S:g} s...")
+    engine = ServingEngine(wb.grid[0], platform=wb.platform,
+                           chooser=controller, slo=SLO,
+                           decision_interval_s=DECISION_INTERVAL_S)
+    log = engine.run(arrivals, name="live-deepbat")
+    decisions = log.decisions
 
-    # Latency/cost bookkeeping from the dispatched batches.
-    profile, pricing = wb.platform.profile, wb.platform.pricing
-    waits, sizes, costs = [], [], []
-    config_at = {}
-    cfg = controller.optimizer.configs[0]
-    decision_iter = iter(decisions)
-    for b in batches:
-        waits.append(b.waits())
-        sizes.append(b.size)
-    mem = decisions[-1].config.memory_mb if decisions else cfg.memory_mb
-    svc = profile.service_time(mem, np.array(sizes))
-    latencies = np.concatenate([w + s for w, s in zip(waits, svc)])
-    total_cost = float(pricing.invocation_cost(mem, svc).sum())
-
-    print(f"\n   dispatched {len(batches)} batches, mean size "
-          f"{np.mean(sizes):.1f}")
-    print(f"   p95 latency : {np.percentile(latencies, 95) * 1e3:.1f} ms "
+    print(f"\n   dispatched {log.batch_sizes.size} batches, mean size "
+          f"{np.mean(log.batch_sizes):.1f}")
+    print(f"   p95 latency : {log.p(95.0) * 1e3:.1f} ms "
           f"(SLO {SLO * 1e3:.0f} ms)")
-    print(f"   cost        : ${cost_per_million(total_cost / arrivals.size):.3f}/1M req")
+    print(f"   cost        : ${cost_per_million(log.cost_per_request):.3f}/1M req")
     print(f"   decisions   : {len(decisions)} re-optimizations, mean "
-          f"{np.mean([d.decision_time for d in decisions]) * 1e3:.0f} ms each")
+          f"{log.mean_decision_time * 1e3:.0f} ms each")
     print()
     print(format_series("B trajectory", np.array([d.config.batch_size for d in decisions]), "{:.0f}"))
     print(format_series("T trajectory (ms)", np.array([d.config.timeout * 1e3 for d in decisions]), "{:.0f}"))

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -401,7 +402,8 @@ def _validate_serve_args(args) -> None:
     """Reject malformed ``repro serve`` inputs before any work happens.
 
     Raises ``ValueError`` with a message that names the flag and the fix —
-    the CLI turns it into an exit-code-2 error line.
+    the CLI turns it into an exit-code-2 error line. The flags that build
+    a config dataclass are checked by that dataclass (``_from_flags``).
     """
     from repro.utils.validation import check_positive
 
@@ -414,18 +416,6 @@ def _validate_serve_args(args) -> None:
                    "to ever be reused)")
     if args.decision_interval is not None:
         check_positive(args.decision_interval, "--decision-interval (seconds)")
-    if args.max_containers is not None and args.max_containers < 1:
-        raise ValueError(
-            f"--max-containers must be >= 1 (or omitted for unbounded), "
-            f"got {args.max_containers}"
-        )
-    if args.queue_limit is not None and args.queue_limit < 0:
-        raise ValueError(
-            f"--queue-limit must be >= 0 (0 sheds immediately when the pool "
-            f"is exhausted; omit for unbounded queueing), got {args.queue_limit}"
-        )
-    if args.retrain_delay is not None:
-        check_positive(args.retrain_delay, "--retrain-delay", strict=False)
     if not 0.0 <= args.fault_rate < 1.0:
         raise ValueError(f"--fault-rate must be in [0, 1), got {args.fault_rate}")
     if args.retries < 1:
@@ -458,32 +448,20 @@ def _validate_serve_args(args) -> None:
             "--outages is not supported with --generation: crash and "
             "straggler draws are keyed by request-level batch index"
         )
-    if args.guardrail:
-        if args.guardrail_window < 1:
-            raise ValueError(f"--guardrail-window must be >= 1, "
-                             f"got {args.guardrail_window}")
-        if not 0.0 < args.guardrail_percentile <= 100.0:
-            raise ValueError(f"--guardrail-percentile must be in (0, 100], "
-                             f"got {args.guardrail_percentile}")
-        if args.guardrail_k < 1:
-            raise ValueError(f"--guardrail-k must be >= 1, "
-                             f"got {args.guardrail_k}")
-        check_positive(args.guardrail_cooldown, "--guardrail-cooldown "
-                       "(seconds the breaker stays open; must be positive)")
-    if args.prewarm:
-        check_positive(args.prewarm_interval, "--prewarm-interval (seconds)")
-        if args.prewarm_horizon is not None:
-            check_positive(args.prewarm_horizon, "--prewarm-horizon (seconds)")
-        check_positive(args.prewarm_headroom, "--prewarm-headroom")
-        if args.prewarm_max is not None and args.prewarm_max < 1:
-            raise ValueError(
-                f"--prewarm-max must be >= 1 (or omitted for unbounded), "
-                f"got {args.prewarm_max}"
-            )
-        if args.prewarm_window < 1:
-            raise ValueError(
-                f"--prewarm-window must be >= 1, got {args.prewarm_window}"
-            )
+
+
+def _from_flags(args, cls, fixed: dict | None = None, **dests):
+    """``cls`` built from the serve flags ``field=dest`` plus the ``fixed``
+    fields. The dataclass validates its own fields; a ``ValueError`` is
+    reported under the flag of the field its message names."""
+    flags = {f: "--" + d.replace("_", "-") for f, d in dests.items()}
+    try:
+        return cls(**{f: getattr(args, d) for f, d in dests.items()},
+                   **(fixed or {}))
+    except ValueError as exc:
+        field = str(exc).partition(" ")[0]
+        where = flags.get(field, "/".join(flags.values()))
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _load_config(kind: str, path: str | None):
@@ -527,7 +505,9 @@ def _cmd_serve(args) -> int:
     from repro.serving import (
         CheckpointError,
         DriftConfig,
+        EmpiricalRateForecaster,
         GuardrailConfig,
+        PrewarmConfig,
         ServingEngine,
         WarmPoolConfig,
     )
@@ -538,6 +518,28 @@ def _cmd_serve(args) -> int:
         generation_cfg = _load_config("generation", args.generation)
         outage_cfg, degrade_cfg = (_load_config("outage", args.outages)
                                    or (None, None))
+        config = _from_flags(args, BatchConfig, memory_mb="memory",
+                             batch_size="batch_size", timeout="timeout")
+        pool_cfg = _from_flags(args, WarmPoolConfig, keep_alive_s="keep_alive",
+                               max_containers="max_containers",
+                               max_queued_batches="queue_limit")
+        # The detector is fitted on the warmup traffic below.
+        drift_cfg = _from_flags(args, DriftConfig, window="drift_window",
+                                retrain_delay_s="retrain_delay")
+        guardrail_cfg = _from_flags(
+            args, GuardrailConfig, window="guardrail_window",
+            percentile="guardrail_percentile", k="guardrail_k",
+            cooldown_s="guardrail_cooldown",
+        ) if args.guardrail else None
+        # The forecaster is replaced once the warmup traffic is known.
+        prewarm_cfg = _from_flags(
+            args, PrewarmConfig,
+            fixed={"forecaster": EmpiricalRateForecaster(),
+                   "retire": args.prewarm_retire},
+            interval_s="prewarm_interval", horizon_s="prewarm_horizon",
+            headroom="prewarm_headroom", max_per_tick="prewarm_max",
+            window="prewarm_window",
+        ) if args.prewarm else None
         trace = load_trace(args.trace)
         history, serve_ts = _split_at_segment(trace, args.start_segment)
     except ValueError as exc:
@@ -550,8 +552,6 @@ def _cmd_serve(args) -> int:
 
     platform = _platform(args, args.seed)
     faulty = platform.faults_active
-    config = BatchConfig(memory_mb=args.memory, batch_size=args.batch_size,
-                         timeout=args.timeout)
     chooser = None
     if args.chooser == "deepbat":
         if not args.model:
@@ -569,73 +569,47 @@ def _cmd_serve(args) -> int:
         # Deploy the controller's pick for the warmup traffic, so the run
         # starts from a considered configuration rather than the defaults.
         config = chooser.choose(warmup, args.slo).config
-    detector = None
     if args.drift:
         detector = WorkloadDriftDetector()
         try:
             detector.fit(warmup, args.drift_window)
         except ValueError as exc:
             print(f"warning: drift detector disabled ({exc})", file=sys.stderr)
-            detector = None
-    prewarm_cfg = None
-    if args.prewarm:
-        from repro.serving import (
-            EmpiricalRateForecaster,
-            MAPRateForecaster,
-            OracleForecaster,
-            PrewarmConfig,
-        )
-
-        if args.prewarm == "map":
-            from repro.arrival.fitting import fit_map
-
-            try:
-                process, report = fit_map(warmup)
-            except ValueError as exc:
-                print(f"warning: MAP prewarming fell back to the empirical "
-                      f"forecaster ({exc})", file=sys.stderr)
-                forecaster = EmpiricalRateForecaster()
-            else:
-                print(f"prewarm: fitted {report.kind} MAP on {warmup.size} "
-                      f"warmup inter-arrivals")
-                forecaster = MAPRateForecaster(process)
-        elif args.prewarm == "oracle":
-            forecaster = OracleForecaster(timestamps=serve_ts)
         else:
-            forecaster = EmpiricalRateForecaster()
-        prewarm_cfg = PrewarmConfig(
-            forecaster=forecaster,
-            interval_s=args.prewarm_interval,
-            horizon_s=args.prewarm_horizon,
-            headroom=args.prewarm_headroom,
-            max_per_tick=args.prewarm_max,
-            retire=args.prewarm_retire,
-            window=args.prewarm_window,
-        )
+            drift_cfg = replace(drift_cfg, detector=detector)
+    if args.prewarm == "map":
+        from repro.arrival.fitting import fit_map
+        from repro.serving import MAPRateForecaster
+
+        try:
+            process, report = fit_map(warmup)
+        except ValueError as exc:
+            print(f"warning: MAP prewarming fell back to the empirical "
+                  f"forecaster ({exc})", file=sys.stderr)
+        else:
+            print(f"prewarm: fitted {report.kind} MAP on {warmup.size} "
+                  f"warmup inter-arrivals")
+            prewarm_cfg = replace(prewarm_cfg,
+                                  forecaster=MAPRateForecaster(process))
+    elif args.prewarm == "oracle":
+        from repro.serving import OracleForecaster
+
+        prewarm_cfg = replace(prewarm_cfg, forecaster=OracleForecaster(
+            timestamps=serve_ts))
 
     engine = ServingEngine(
         config,
         platform=platform,
         chooser=chooser,
         slo=args.slo,
-        pool=WarmPoolConfig(keep_alive_s=args.keep_alive,
-                            max_containers=args.max_containers,
-                            max_queued_batches=args.queue_limit),
+        pool=pool_cfg,
         deploy_delay_s=args.deploy_delay,
         decision_interval_s=(
             (args.decision_interval or trace.segment_duration)
             if chooser is not None else None
         ),
-        drift=DriftConfig(detector=detector,
-                          window=args.drift_window,
-                          retrain_delay_s=args.retrain_delay),
-        guardrail=(
-            GuardrailConfig(window=args.guardrail_window,
-                            percentile=args.guardrail_percentile,
-                            k=args.guardrail_k,
-                            cooldown_s=args.guardrail_cooldown)
-            if args.guardrail else None
-        ),
+        drift=drift_cfg,
+        guardrail=guardrail_cfg,
         prewarm=prewarm_cfg,
         generation=generation_cfg,
         outages=outage_cfg,
@@ -748,8 +722,9 @@ def _cmd_serve_fleet(args, fleet_cfg, trace, history, serve_ts) -> int:
         print(f"error: invalid fleet config: endpoints need a 'share' to "
               f"split --trace traffic; missing on: {missing}", file=sys.stderr)
         return 2
-    needs_model = [ep.name for ep in fleet_cfg.endpoints
-                   if ep.chooser == "deepbat"]
+    needs_model = [ep.name for ep, chooser in zip(fleet_cfg.endpoints,
+                                                  fleet_cfg.choosers)
+                   if chooser == "deepbat"]
     if needs_model and not args.model:
         print(f"error: --model is required for deepbat endpoints: "
               f"{needs_model}", file=sys.stderr)

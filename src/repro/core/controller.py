@@ -1,10 +1,11 @@
 """The DeepBAT controller — the full Fig. 2 loop.
 
-Wires the Workload Parser, the trained deep surrogate, the SLO-aware
-optimizer, and (for live serving) the batching buffer: observe arrivals →
-build the inter-arrival window → batch-predict every candidate
-configuration in one surrogate forward → pick the cheapest SLO-feasible
-configuration → reconfigure the buffer.
+Wires the trained deep surrogate to the SLO-aware optimizer: build the
+inter-arrival window → batch-predict every candidate configuration in one
+surrogate forward → pick the cheapest SLO-feasible configuration. Live
+serving (observing arrivals, batching, reconfiguring) is
+:class:`~repro.serving.engine.ServingEngine`'s job, with this controller
+as its chooser.
 
 Each optimization round is traced through :mod:`repro.telemetry`: nested
 spans attribute decision time to window building, the surrogate forward,
@@ -20,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arrival.window import latest_window
-from repro.batching.buffer import BatchingBuffer
 from repro.batching.config import BatchConfig, config_grid
 from repro.core.optimizer import OptimizationResult, SloAwareOptimizer
-from repro.core.parser import WorkloadParser
 from repro.core.training import TrainedSurrogate
 from repro.core.types import Decision, history_fault as _history_fault
 from repro.telemetry.events import DecisionEvent
@@ -68,7 +67,6 @@ class DeepBATController:
                 f"window_length {self.window_length} must equal the surrogate's "
                 f"sequence length {surrogate.model.seq_len}"
             )
-        self.parser = WorkloadParser(window_length=self.window_length)
         # The candidate grid is constant, so its standardized features are
         # precomputed once; choose() then skips the per-call config
         # transform (sequence scaling still runs per window).
@@ -151,36 +149,3 @@ class DeepBATController:
     def set_gamma(self, gamma: float) -> None:
         """Tighten/relax the SLO margin γ (fast OOD reaction, §III-D)."""
         self.optimizer.set_gamma(gamma)
-
-    # ---------------------------------------------------------- live serving
-    def serve(
-        self, arrival_times: np.ndarray, slo: float, reoptimize_every: int = 256
-    ) -> tuple[list, list[DeepBATDecision]]:
-        """Drive a live buffer over an arrival stream (Fig. 2 request flow).
-
-        Re-optimizes after every ``reoptimize_every`` arrivals once a full
-        window is available. Returns the dispatched batches and the decision
-        log. This exercises the *online* code path; the evaluation harness
-        uses the vectorized per-segment variant instead.
-        """
-        if reoptimize_every < 1:
-            raise ValueError("reoptimize_every must be >= 1")
-        arrival_times = np.asarray(arrival_times, dtype=float)
-        registry = get_registry()
-        with registry.span("deepbat.serve"):
-            decisions: list[DeepBATDecision] = []
-            buffer = BatchingBuffer(self.optimizer.configs[0])
-            batches = []
-            for i, t in enumerate(arrival_times):
-                self.parser.observe(float(t))
-                batches.extend(buffer.observe(float(t)))
-                if self.parser.has_full_window() and (i + 1) % reoptimize_every == 0:
-                    decision = self.choose(self.parser.interarrivals(), slo)
-                    decisions.append(decision)
-                    buffer.reconfigure(decision.config)
-            if arrival_times.size:
-                batches.extend(buffer.flush(float(arrival_times[-1])))
-        if registry.enabled:
-            registry.counter("deepbat.served_requests").inc(arrival_times.size)
-            buffer.publish(registry)
-        return batches, decisions

@@ -147,14 +147,17 @@ class TokenLengthModel:
     output_max: int = 1024
 
     def __post_init__(self) -> None:
-        if self.prompt_mean < 1 or self.output_mean < 1:
-            raise ValueError("token length means must be >= 1")
-        if self.prompt_max < 1 or self.output_max < 1:
-            raise ValueError("token length caps must be >= 1")
+        for name in ("prompt_mean", "prompt_max", "output_mean", "output_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.prompt_mean > self.prompt_max:
-            raise ValueError("prompt_mean must be <= prompt_max")
+            raise ValueError(
+                f"prompt_mean must be <= prompt_max ({self.prompt_max})"
+            )
         if self.output_mean > self.output_max:
-            raise ValueError("output_mean must be <= output_max")
+            raise ValueError(
+                f"output_mean must be <= output_max ({self.output_max})"
+            )
 
     def sample_one(self, seed: int, index: int) -> "tuple[int, int]":
         """Lengths for request ``index`` — a pure function of (seed, index)."""

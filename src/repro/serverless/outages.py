@@ -126,11 +126,13 @@ class OutageModel:
         for w in self.windows:
             if w.start < prev_end:
                 raise ValueError(
-                    "outage windows must be sorted by start and "
+                    "windows must be sorted by start and "
                     f"non-overlapping; [{w.start}, {w.end}) follows a "
                     f"window ending at {prev_end}"
                 )
             prev_end = w.end
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def enabled(self) -> bool:
@@ -179,8 +181,8 @@ class OutageModel:
 def sample_outage_windows(
     seed: int,
     horizon_s: float,
-    mean_up_s: float,
-    mean_down_s: float,
+    mean_up_s: float = 60.0,
+    mean_down_s: float = 10.0,
     t_start: float = 0.0,
 ) -> tuple[OutageWindow, ...]:
     """Sample an alternating up/down renewal schedule of outage windows.
@@ -194,8 +196,12 @@ def sample_outage_windows(
     """
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-    if mean_up_s <= 0 or mean_down_s <= 0:
-        raise ValueError("mean_up_s and mean_down_s must be > 0")
+    if mean_up_s <= 0:
+        raise ValueError(f"mean_up_s must be > 0, got {mean_up_s}")
+    if mean_down_s <= 0:
+        raise ValueError(f"mean_down_s must be > 0, got {mean_down_s}")
+    if t_start < 0:
+        raise ValueError(f"t_start must be >= 0, got {t_start}")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(0xD0, 0x0E))
     )

@@ -62,6 +62,7 @@ from repro.serving.engine import _P_DECISION, ServingEngine, _RunContext
 from repro.serving.guardrail import GuardrailConfig
 from repro.serving.log import ServingLog
 from repro.serving.pool import WarmPool, WarmPoolConfig
+from repro.telemetry.export import ENGINE_NAMESPACES
 from repro.telemetry.metrics import get_registry
 from repro.utils.validation import check_sorted
 
@@ -72,7 +73,9 @@ class EndpointSpec:
     """One fleet tenant: a model endpoint with its own SLO and traffic.
 
     * ``name`` — endpoint identifier; becomes the telemetry namespace
-      ``serving.<name>.*``, so it must not contain ``.``;
+      ``serving.<name>.*``, so it must not contain ``.`` nor be one of the
+      single engine's namespaces (``prewarm``, ``gen``, ``outage``,
+      ``degrade``);
     * ``config`` — the initial ``(M, B, T)`` deployment;
     * ``slo`` / ``percentile`` — the endpoint's latency target;
     * ``platform`` — the endpoint's service-time/pricing/fault model
@@ -116,25 +119,31 @@ class EndpointSpec:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ValueError("endpoint name must be non-empty")
+            raise ValueError("name must be non-empty")
         if "." in self.name:
             raise ValueError(
-                f"endpoint name {self.name!r} must not contain '.' "
+                f"name must not contain '.', got {self.name!r} "
                 "(it namespaces telemetry as serving.<name>.*)"
             )
+        if self.name in ENGINE_NAMESPACES:
+            raise ValueError(
+                f"name must not be one of {sorted(ENGINE_NAMESPACES)}, got "
+                f"{self.name!r} (the dashboard reads serving.{self.name}.* "
+                "as a single-engine counter)"
+            )
         if self.slo <= 0:
-            raise ValueError(f"endpoint {self.name!r}: slo must be > 0, "
-                             f"got {self.slo}")
+            raise ValueError(f"slo must be > 0, got {self.slo}")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError(
-                f"endpoint {self.name!r}: percentile must be in (0, 100], "
-                f"got {self.percentile}"
+                f"percentile must be in (0, 100], got {self.percentile}"
+            )
+        if self.decision_interval_s is not None and self.decision_interval_s <= 0:
+            raise ValueError(
+                f"decision_interval_s must be > 0 or None, "
+                f"got {self.decision_interval_s}"
             )
         if self.share is not None and not 0.0 < self.share <= 1.0:
-            raise ValueError(
-                f"endpoint {self.name!r}: share must be in (0, 1], "
-                f"got {self.share}"
-            )
+            raise ValueError(f"share must be in (0, 1], got {self.share}")
 
 
 def split_by_shares(
@@ -497,6 +506,8 @@ class FleetEngine:
             raise ValueError(
                 f"max_containers must be >= 1 or None, got {max_containers}"
             )
+        if split_seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {split_seed}")
         if scheduler is not None and (
             scheduler_interval_s is None or scheduler_interval_s <= 0
         ):

@@ -61,9 +61,15 @@ class WarmPoolConfig:
         if self.keep_alive_s < 0:
             raise ValueError(f"keep_alive_s must be >= 0, got {self.keep_alive_s}")
         if self.max_containers is not None and self.max_containers < 1:
-            raise ValueError("max_containers must be >= 1 or None")
+            raise ValueError(
+                f"max_containers must be >= 1 or None, got {self.max_containers}"
+            )
         if self.max_queued_batches is not None and self.max_queued_batches < 0:
-            raise ValueError("max_queued_batches must be >= 0 or None")
+            raise ValueError(
+                "max_queued_batches must be >= 0 (0 sheds immediately when "
+                "the pool is exhausted) or None (unbounded queueing), "
+                f"got {self.max_queued_batches}"
+            )
 
 
 @dataclass

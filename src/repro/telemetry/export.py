@@ -336,7 +336,7 @@ def _fleet_rows(by_type: dict) -> list[list]:
         # endpoints — without the exclusion they would show up here as
         # phantom endpoint rows.
         if (len(parts) == 3 and parts[0] == "serving"
-                and parts[1] not in _ENGINE_NAMESPACES):
+                and parts[1] not in ENGINE_NAMESPACES):
             per_endpoint[parts[1]][parts[2]] = value
     if not per_endpoint:
         return []
@@ -382,8 +382,10 @@ _SCOPED_SECTIONS = (
       ("wins", "hedge_wins", int), ("brownout", "brownout_shed", int),
       ("failover", "failover", int))),
 )
-_ENGINE_NAMESPACES = {ns for _t, namespaces, _k, _c in _SCOPED_SECTIONS
-                      for ns in namespaces}
+#: The single engine's counter namespaces, ``serving.<namespace>.<metric>``;
+#: fleet endpoints may not take these names (see ``EndpointSpec``).
+ENGINE_NAMESPACES = frozenset(ns for _t, namespaces, _k, _c in _SCOPED_SECTIONS
+                              for ns in namespaces)
 
 
 def _scoped_rows(by_type: dict, namespaces: tuple, known: set,

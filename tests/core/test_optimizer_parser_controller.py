@@ -13,7 +13,6 @@ from repro.core.parser import WorkloadParser
 from repro.core.controller import DeepBATController
 from repro.core.surrogate import DeepBATSurrogate
 from repro.core.training import TrainConfig, train_surrogate
-from repro.telemetry.metrics import MetricsRegistry, use_registry
 
 GRID = config_grid(memories=(512.0, 1024.0), batch_sizes=(1, 4, 8), timeouts=(0.0, 0.05))
 SPEC = TargetSpec()
@@ -145,31 +144,6 @@ class TestDeepBATController:
     def test_window_length_mismatch_rejected(self, trained_tiny):
         with pytest.raises(ValueError):
             DeepBATController(trained_tiny, configs=GRID, window_length=99)
-
-    def test_serve_live_loop(self, trained_tiny):
-        ctrl = DeepBATController(trained_tiny, configs=GRID)
-        ts = poisson_map(200.0).sample(duration=2.0, seed=2)
-        batches, decisions = ctrl.serve(ts, slo=0.1, reoptimize_every=64)
-        assert sum(b.size for b in batches) == ts.size
-        assert len(decisions) >= 1
-
-    def test_serve_publishes_buffer_histograms_once(self, trained_tiny):
-        ctrl = DeepBATController(trained_tiny, configs=GRID)
-        ts = poisson_map(200.0).sample(duration=2.0, seed=2)
-        with use_registry(MetricsRegistry()) as registry:
-            batches, _ = ctrl.serve(ts, slo=0.1, reoptimize_every=64)
-        histograms = {r["name"]: r for r in registry.records()
-                      if r["type"] == "histogram"}
-        assert histograms["buffer.batch_size"]["count"] == len(batches)
-        assert histograms["buffer.batch_size"]["sum"] == ts.size
-        waits = np.concatenate([b.waits() for b in batches])
-        assert histograms["buffer.wait"]["count"] == ts.size
-        assert histograms["buffer.wait"]["max"] == waits.max()
-
-    def test_serve_validation(self, trained_tiny):
-        ctrl = DeepBATController(trained_tiny, configs=GRID)
-        with pytest.raises(ValueError):
-            ctrl.serve(np.array([0.0]), slo=0.1, reoptimize_every=0)
 
 
 class TestCachedGridFeatures:

@@ -361,6 +361,16 @@ class TestSpecsAndSplitting:
             EndpointSpec(name="a", config=CONFIG, percentile=0.0)
         with pytest.raises(ValueError, match="share"):
             EndpointSpec(name="a", config=CONFIG, share=1.5)
+        with pytest.raises(ValueError, match="decision_interval_s"):
+            EndpointSpec(name="a", config=CONFIG, decision_interval_s=0.0)
+
+    @pytest.mark.parametrize("name", ["prewarm", "gen", "outage", "degrade"])
+    def test_engine_namespaces_are_not_endpoint_names(self, name):
+        """The dashboard reads ``serving.<x>.<metric>`` as a single-engine
+        counter for these names, so an endpoint named ``gen`` vanished from
+        the fleet table and showed up as a phantom ``engine`` row."""
+        with pytest.raises(ValueError, match=f"name must not be one of .*{name!r}"):
+            EndpointSpec(name=name, config=CONFIG)
 
     def test_fleet_engine_validation(self):
         with pytest.raises(ValueError):

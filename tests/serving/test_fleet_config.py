@@ -49,10 +49,10 @@ class TestLoadAndBuild:
         assert cfg.scheduler_interval_s == 5.0
         assert cfg.scheduler_min_history == 16
         chat, embed = cfg.endpoints
-        assert chat.memory_mb == 2048.0 and chat.batch_size == 8
-        assert chat.keep_alive_s == math.inf  # default: never expire
-        assert embed.chooser == "batch"
-        assert embed.max_queued_batches == 4
+        assert chat.config.memory_mb == 2048.0 and chat.config.batch_size == 8
+        assert chat.pool.keep_alive_s == math.inf  # default: never expire
+        assert cfg.choosers == ("none", "batch")
+        assert embed.pool.max_queued_batches == 4
 
     def test_build_produces_runnable_engine(self, tmp_path):
         cfg = load_fleet_config(write(tmp_path, valid_doc()))
@@ -160,6 +160,12 @@ class TestSchemaErrors:
         doc["endpoints"][0]["name"] = "a.b"
         self.reject(doc, r"endpoints\[0\]\.name: must not contain")
 
+    @pytest.mark.parametrize("name", ["prewarm", "gen", "outage", "degrade"])
+    def test_engine_namespace_endpoint_name(self, name):
+        doc = valid_doc()
+        doc["endpoints"][1]["name"] = name
+        self.reject(doc, r"endpoints\[1\]\.name: must not be one of")
+
     def test_bad_batch_size(self):
         doc = valid_doc()
         doc["endpoints"][0]["batch_size"] = 0
@@ -183,7 +189,7 @@ class TestSchemaErrors:
     def test_percentile_over_100(self):
         doc = valid_doc()
         doc["endpoints"][1]["percentile"] = 101
-        self.reject(doc, "percentile must be <= 100.*embed")
+        self.reject(doc, r"endpoints\[1\]\.percentile: must be in \(0, 100\]")
 
     def test_unknown_chooser(self):
         doc = valid_doc()
@@ -203,9 +209,9 @@ class TestSchemaErrors:
     def test_share_out_of_range(self):
         doc = valid_doc()
         doc["endpoints"][0]["share"] = 1.5
-        self.reject(doc, r"endpoints\[0\]\.share: must be <= 1")
+        self.reject(doc, r"endpoints\[0\]\.share: must be in \(0, 1\]")
         doc["endpoints"][0]["share"] = 0
-        self.reject(doc, r"endpoints\[0\]\.share: must be > 0")
+        self.reject(doc, r"endpoints\[0\]\.share: must be in \(0, 1\]")
 
     def test_bad_scheduler(self):
         doc = valid_doc()

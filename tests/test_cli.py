@@ -279,6 +279,10 @@ class TestServeValidation:
         ["--guardrail", "--guardrail-cooldown", "0"],
         ["--guardrail", "--guardrail-percentile", "101"],
         ["--restore"],  # --restore without --checkpoint
+        ["--memory", "64"],
+        ["--batch-size", "0"],
+        ["--timeout", "-1"],
+        ["--drift-window", "1"],
     ])
     def test_rejects_bad_inputs(self, trace_path, flags, capsys):
         rc = main(["serve", "--trace", str(trace_path)] + flags)
@@ -420,6 +424,20 @@ class TestServeFleet:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid fleet config")
         assert "endpoints[0].slo" in err
+
+    def test_endpoint_memory_below_lambda_range(self, fleet_path, trace_path,
+                                                capsys):
+        import json
+
+        doc = json.loads(fleet_path.read_text())
+        doc["endpoints"][0]["memory_mb"] = 64
+        fleet_path.write_text(json.dumps(doc))
+        rc = main(["serve", "--trace", str(trace_path),
+                   "--fleet", str(fleet_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid fleet config")
+        assert "endpoints[0].memory_mb" in err
 
     def test_missing_shares_rejected(self, fleet_path, trace_path, capsys):
         import json
