@@ -85,9 +85,11 @@ def _mix(x, y):
 
 
 def spawned_pcg64_states(seed: int, keys) -> Iterator[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(k,)))``
-    for every ``k`` in ``keys``, in order, vectorized over the keys.
+    """PCG64 ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=key))``
+    for every ``key`` in ``keys``, in order, vectorized over the keys.
 
+    A key is one non-negative int, standing for the spawn key ``(k,)``,
+    or a tuple of them; every key of one call has the same length.
     Setting ``{"state": state, "inc": inc}`` on a reused ``PCG64`` gives the
     same stream as constructing one per key, at a fraction of the cost:
     the seed's words are hashed into SeedSequence's 4-word pool once, and
@@ -97,7 +99,9 @@ def spawned_pcg64_states(seed: int, keys) -> Iterator[tuple[int, int]]:
     LCG steps. Pinned against numpy's own construction in the tests.
     """
     run_entropy = _uint32_words(operator.index(seed))
-    keys = np.asarray(keys, dtype=np.int64).ravel()
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim < 2:
+        keys = keys.reshape(-1, 1)
     if keys.size and keys.min() < 0:
         raise ValueError(f"expected non-negative spawn keys, got {keys.min()}")
     # With a spawn key, the run entropy is zero-padded to the pool size.
@@ -112,7 +116,7 @@ def spawned_pcg64_states(seed: int, keys) -> Iterator[tuple[int, int]]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, hash_const))
     # In chunks, so memory stays flat however many keys there are.
-    for start in range(0, keys.size, 256):
+    for start in range(0, len(keys), 256):
         seeds = _spawned_seeds(pool, hash_const[0], keys[start:start + 256])
         for s0, s1, s2, s3 in seeds.tolist():
             initstate = (s0 << 64) | s1
@@ -121,21 +125,23 @@ def spawned_pcg64_states(seed: int, keys) -> Iterator[tuple[int, int]]:
 
 
 def _spawned_seeds(pool: list, hash_const: int, keys: np.ndarray) -> np.ndarray:
-    """``generate_state(4, uint64)`` of ``pool`` with each key mixed in."""
-    # A spawn key is one word below 2**32 and two from there on; each word
-    # advances the running multiplier, so each width is its own pass.
+    """``generate_state(4, uint64)`` of ``pool`` with each key's words
+    mixed in; ``keys`` has one row per key."""
+    # A key element is one word below 2**32 and two from there on; each
+    # word advances the running multiplier, so the keys whose elements
+    # have the same widths take one pass.
     wide = keys > _MASK32
-    seeds = np.empty((keys.size, 4), dtype=np.uint64)
-    for width in (1, 2):
-        rows = np.flatnonzero(wide == (width == 2))
-        if not rows.size:
-            continue
+    shapes = wide @ (1 << np.arange(keys.shape[1]))
+    seeds = np.empty((len(keys), 4), dtype=np.uint64)
+    for shape in np.unique(shapes).tolist():
+        rows = np.flatnonzero(shapes == shape)
         hc = [hash_const]
         mixed = [np.full(rows.size, word, dtype=np.uint32) for word in pool]
-        for w in range(width):
-            word = (keys[rows] >> (32 * w)).astype(np.uint32)  # low 32 bits
-            for dst in range(_POOL_SIZE):
-                mixed[dst] = _mix(mixed[dst], _hashmix(word, hc))
+        for col in range(keys.shape[1]):
+            for w in range(1 + (shape >> col & 1)):
+                word = (keys[rows, col] >> (32 * w)).astype(np.uint32)
+                for dst in range(_POOL_SIZE):
+                    mixed[dst] = _mix(mixed[dst], _hashmix(word, hc))
         # 8 uint32 words off the pool, paired low-high into 4 uint64.
         hc = [_INIT_B]
         for j in range(4):

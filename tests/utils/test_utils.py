@@ -58,6 +58,20 @@ class TestSpawnedPcg64States:
             )
             assert bitgen.state["state"] == {"state": state, "inc": inc}
 
+    @pytest.mark.parametrize("seed", [0, 2**32 + 1, 2**70])
+    def test_multi_word_keys(self, seed):
+        # Tuple keys: each element adds its one or two words, so a block
+        # whose rows straddle 2**32 mixes key shapes.
+        rows = [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**63 - 1]
+        for tail in [(1,), (2,), (2**33, 4)]:
+            keys = [(row, *tail) for row in rows]
+            for key, (state, inc) in zip(keys,
+                                         spawned_pcg64_states(seed, keys)):
+                bitgen = np.random.PCG64(
+                    np.random.SeedSequence(entropy=seed, spawn_key=key)
+                )
+                assert bitgen.state["state"] == {"state": state, "inc": inc}
+
     def test_setting_the_state_reproduces_the_stream(self):
         bitgen = np.random.PCG64(0)
         for key, (state, inc) in enumerate(spawned_pcg64_states(3, range(5))):
