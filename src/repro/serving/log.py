@@ -133,7 +133,9 @@ class ServingLog:
     name: str
     trace: str
     slo: float
-    # Per request (arrival order; latency is NaN for shed requests).
+    # Per request, in arrival order. Every request is served, shed or
+    # failed. A shed request's latency is NaN; a failed request keeps its
+    # last attempt's, or NaN if it never started (``unserved_batches``).
     arrival_times: np.ndarray
     latencies: np.ndarray
     shed: np.ndarray
@@ -228,6 +230,9 @@ class ServingLog:
     brownout_shed: int = 0
     #: Batches served on a donor lane's container via fleet failover.
     failover_batches: int = 0
+    #: Batches still queued when the run ended (an outage window outlasting
+    #: the run's last event): their requests count as failed, NaN latency.
+    unserved_batches: int = 0
     #: Per-request masks: True where a hedge duplicate was dispatched /
     #: where the batch ran on a donor lane. None when the feature is off.
     hedged: np.ndarray | None = None
@@ -370,6 +375,7 @@ class ServingLog:
             (f"{prefix}.warm_starts", rows - cold),
             (f"{prefix}.queued_batches", self.queued_batches),
             (f"{prefix}.shed_batches", self.shed_batches),
+            (f"{prefix}.unserved_batches", self.unserved_batches),
             (f"{prefix}.shed_requests", self.n_shed - self.brownout_shed),
             (f"{prefix}.decisions", decisions),
             (f"{prefix}.decision_errors", self.decision_errors),

@@ -300,6 +300,7 @@ def _serving_rows(by_type: dict, by_kind: dict) -> list[list]:
         ("serving.queued_batches", "batches queued"),
         ("serving.shed_requests", "shed requests"),
         ("serving.shed_batches", "shed batches"),
+        ("serving.unserved_batches", "unserved batches"),
         ("serving.decisions", "controller decisions"),
         ("serving.decision_errors", "controller errors"),
         ("serving.reconfigurations", "reconfigurations"),

@@ -4,7 +4,7 @@ match plain runs, bit-for-bit.
 Every single-engine run drives :meth:`ServingEngine._advance` (batched
 arrival runs, cached heap head, memoized service/cost). A plain run makes
 one call with no stop; a checkpointed, journaled or chaos run stops at
-snapshot boundaries and crash points; the fleet stops after every event.
+snapshot boundaries and crash points.
 Stopping must not change the run: same trace, same engine, same seed ⇒
 identical :class:`ServingLog`, event trace included, and identical
 published telemetry. The stop contract itself is pinned by driving a run

@@ -9,7 +9,12 @@ import pytest
 
 from repro.batching.config import BatchConfig
 from repro.serverless.faults import FaultModel, RetryPolicy
-from repro.serverless.outages import OutageModel, StragglerModel
+from repro.serverless.outages import (
+    CrashHazard,
+    OutageModel,
+    OutageWindow,
+    StragglerModel,
+)
 from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.generation import TokenLengthModel
 from repro.serving import (
@@ -52,6 +57,34 @@ def test_winning_hedge_keeps_n_failed_equal_to_the_mask(platform_seed):
     assert log.hedge_wins > 0 and log.n_failed > 0
     assert log.n_failed == int(log.failed.sum())
     assert log.to_experiment_log(10.0).total_failed == log.n_failed
+
+
+@pytest.mark.faults
+@pytest.mark.outage
+@pytest.mark.parametrize("seed, unserved", [(1, 2), (3, 12)])
+def test_queue_left_behind_an_outage_fails_at_the_end(seed, unserved):
+    # A crash inside the outage window kills the only container and
+    # requeues its batch; the cold start is denied and no later event
+    # retries the queue. The run ends there, and what it still queues
+    # fails, never started, instead of being neither served, shed nor
+    # failed.
+    ts = np.cumsum(np.random.default_rng(seed).exponential(1 / 600, 51))
+    log = ServingEngine(
+        BatchConfig(1024.0, 1, 0.1),
+        platform=ServerlessPlatform(seed=seed,
+                                    faults=FaultModel(failure_rate=0.3),
+                                    retry_policy=RetryPolicy(max_attempts=3)),
+        outages=OutageModel(windows=(OutageWindow(2.0, 4.0),),
+                            crash=CrashHazard(rate=0.02, outage_rate=0.2),
+                            seed=4),
+        pool=WarmPoolConfig(keep_alive_s=0.3, max_containers=1),
+    ).run(ts, record_trace=True)
+    never = np.isnan(log.latencies) & ~log.shed
+    assert log.unserved_batches == never.sum() == unserved
+    assert log.failed[never].all()
+    assert (log.shed | log.failed | np.isfinite(log.latencies)).all()
+    assert log.n_failed == int(log.failed.sum())
+    assert [e[0] for e in log.event_trace[-unserved:]] == ["unserved"] * unserved
 
 
 @pytest.mark.fleet

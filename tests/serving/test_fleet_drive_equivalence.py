@@ -1,20 +1,31 @@
-"""The heap-merged fleet loop, pinned by golden digests.
+"""The fleet's event loop, pinned by golden digests.
 
-:meth:`FleetEngine._drive_lanes` steps whichever lane owns the globally
-next event through a lane-key heap. It replaced a loop that scanned every
-lane per event; each digest below was recorded while both loops ran and
-were asserted bit-identical on the scenario (shared budget, per-lane
-choosers, faults, and scheduler ticks), event traces included.
+:meth:`FleetEngine._drive_lanes` runs every lane on the engine's own loop
+over one shared heap ranked ``(time, priority, lane, seq)``, with the
+lanes' arrivals merged by ``(time, lane)``. The first four digests were
+recorded on a loop that scanned every lane per event and kept through the
+lane-merging loops that followed it, event traces included: shared budget,
+per-lane choosers, faults, and scheduler ticks.
+
+The tie-order digests were recorded on the lane-merging loop before the
+shared heap replaced it. Their arrivals sit on a 1/64 s grid, so equal
+instants are exact: two lanes carry the identical timestamp array, buffer
+timers and prewarm ticks land on other lanes' arrivals, and scheduler
+ticks land on arrival instants and on the lanes' own decision ticks.
 """
 
+import numpy as np
 import pytest
 
 from repro.batching.config import BatchConfig
 from repro.core.types import Decision
 from repro.serverless.faults import FaultModel
 from repro.serverless.platform import ServerlessPlatform
-from repro.serving import WarmPoolConfig
+from repro.serverless.service_profile import ColdStartModel
+from repro.serving import BrownoutConfig, FailoverConfig, WarmPoolConfig
+from repro.serving.config import PrewarmConfig
 from repro.serving.fleet import EndpointSpec, FleetEngine, FleetScheduler
+from repro.serving.prewarm import EmpiricalRateForecaster
 from tests.serving.test_golden_digests import fleet_digest, poisson
 
 pytestmark = pytest.mark.fleet
@@ -73,6 +84,10 @@ GOLDEN = {
         "4294d477e799914372a6abf7137bb9483e9748938ab97b370506af2e852e0ba6",
     "scheduler":
         "6c76593fe523085892a8b13d2d06b86a06f42d6ae04499d6841f5f393a535e5b",
+    "tie-twins":
+        "856b1c516bcae6762f797c5a4dc6b9db4e3f55c7c298bd1902bb2a992a7e1b57",
+    "tie-ticks":
+        "e5647fa388e56e792aedaf117224f418473a03066f07190be96438233a6700a8",
 }
 
 
@@ -103,11 +118,72 @@ class TestHeapEqualsScan:
         pinned("faults-choosers", run({}, faults=True, choosers=True))
 
     def test_with_binding_budget(self):
-        # A tight shared budget exercises the cross-lane drain pass, whose
-        # changed-lane set feeds the heap's re-keying.
+        # A tight shared budget exercises the cross-lane drain pass.
         log = pinned("budget", run({"max_containers": 3}, faults=True))
         assert sum(log[n].evicted_containers for n in log.endpoints) > 0
 
     def test_with_scheduler_ticks(self):
         log = pinned("scheduler", run_scheduled())
         assert log.fleet_decisions >= 1
+
+
+# ------------------------------------------------------------ tie order
+GRID = 1.0 / 64.0
+TWIN = BatchConfig(memory_mb=2048.0, batch_size=4, timeout=2 * GRID)
+WIDE = BatchConfig(memory_mb=2048.0, batch_size=8, timeout=3 * GRID)
+
+
+def grid_trace(seed, n):
+    """Arrivals on the grid, several per instant at times."""
+    steps = np.random.default_rng(seed).integers(0, 3, size=n)
+    return np.cumsum(steps) * GRID
+
+
+def tie_specs(choosers=False):
+    def spec(name, config, prewarm=None):
+        return EndpointSpec(
+            name=name, config=config, slo=0.2,
+            platform=ServerlessPlatform(seed=5, cold_start=ColdStartModel()),
+            chooser=StubChooser([WIDE, TWIN]) if choosers else None,
+            decision_interval_s=0.25 if choosers else None, min_history=8,
+            pool=WarmPoolConfig(keep_alive_s=0.5, max_containers=3,
+                                max_queued_batches=4),
+            prewarm=prewarm,
+        )
+
+    prewarm = PrewarmConfig(forecaster=EmpiricalRateForecaster(),
+                            interval_s=0.25)
+    return [spec("a", TWIN), spec("b", TWIN), spec("c", WIDE, prewarm)]
+
+
+@pytest.mark.golden
+class TestTieOrder:
+    def test_twin_lanes_with_every_pass(self):
+        # Lanes a and b are identical down to their platform seed, so
+        # their arrivals, timers and completions tie; a's timers also land
+        # on b's and c's arrivals, and c's prewarm ticks on everyone's.
+        ts = grid_trace(1, 600)
+        assert np.isin(ts + TWIN.timeout, ts).any()
+        log = FleetEngine(tie_specs(), max_containers=5,
+                          failover=FailoverConfig(min_queue=2),
+                          brownout=BrownoutConfig(max_total_queued=6)).run(
+            {"a": ts, "b": ts, "c": ts}, record_trace=True)
+        pinned("tie-twins", log)
+        assert log["b"].failover_batches and log["c"].brownout_shed
+
+    def test_scheduler_ticks_on_arrival_instants(self):
+        # Ticks every 0.5 s from the shared first arrival: each lands on
+        # the lanes' own 0.25 s decision ticks, and on arrivals.
+        ts = grid_trace(2, 600)
+        scheduler = FleetScheduler(
+            memories=(1024.0, 2048.0), batch_sizes=(1, 4, 8),
+            timeouts=(0.0, 2 * GRID), min_history=16,
+        )
+        log = FleetEngine(tie_specs(choosers=True), max_containers=6,
+                          scheduler=scheduler, scheduler_interval_s=0.5).run(
+            {"a": ts, "b": ts, "c": ts}, record_trace=True)
+        pinned("tie-ticks", log)
+        fleet = [d.time for d in log["a"].decisions if d.reason == "fleet"]
+        own = {d.time for d in log["a"].decisions if d.reason == "interval"}
+        assert len(fleet) == log.fleet_decisions > 1
+        assert own & set(fleet) and np.isin(fleet, ts).any()
