@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving bench-decide lint
+.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving bench-decide bench-fleet lint
 
 ## Tier-1: the fast unit/integration suite (excludes the `bench` marker).
 test:
@@ -76,6 +76,13 @@ bench-serving:
 TRACE ?= 0
 bench-decide:
 	$(PYTHON) benchmarks/perf/run.py --workload decide --seed 0 --seconds 12 --trace $(TRACE)
+
+## One 12 s run of the perf benchmark's `fleet-outage` workload: eight
+## lanes on one event heap under outages, crashes, hedging, failover and
+## brownout, the inner loop for fleet and engine perf work.
+## `make bench-fleet TRACE=1` adds the per-layer metrics.
+bench-fleet:
+	$(PYTHON) benchmarks/perf/run.py --workload fleet-outage --seed 0 --seconds 12 --trace $(TRACE)
 
 ## Syntax check of every tree we ship (no third-party linter in the image).
 lint:

@@ -15,6 +15,11 @@ file pins that contract three ways:
 * a kill/restore drill counts every request once: crashed legs publish
   nothing, the completed leg publishes the log — counters and histograms
   alike;
+* the loop reads no clock: with telemetry off a run completes under a
+  poisoned ``time.perf_counter``; with it on, a plain run drives the
+  event loop (``_advance``) once, with no stop, creates no counter or
+  histogram before ``_finish``, and publishes no wall-clock counters, so
+  the dashboard has no serving-performance section;
 * an ``ast`` lint keeps data-plane ``.counter(...)`` calls out of
   ``repro.serving``: only ``checkpoint.*`` and the ``publish`` functions
   of ``ServingLog`` and ``FleetLog`` may create counters; and it keeps
@@ -26,6 +31,7 @@ file pins that contract three ways:
 
 import ast
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +47,7 @@ from repro.serving import (
     run_with_crashes,
 )
 from repro.serving.config import DriftConfig, GenerationConfig
+from repro.serving.engine import _NO_STOP
 from repro.telemetry.export import render_dashboard
 from repro.telemetry.metrics import MetricsRegistry, use_registry
 from tests.serving.test_fleet_drive_equivalence import run_scheduled
@@ -360,6 +367,70 @@ class TestHistogramsMatchLog:
 
 # -------------------------------------------------------------------- lint
 #: Counter names ``repro.serving`` may create outside a publish function.
+def clock_engine():
+    return ServingEngine(
+        CONFIG, pool=WarmPoolConfig(keep_alive_s=2.0, max_containers=4),
+    )
+
+
+def clock_trace(seed, n):
+    return np.cumsum(np.random.default_rng(seed).exponential(1 / 200.0, n))
+
+
+class TestDisabledPath:
+    def test_disabled_serving_run_never_touches_the_clock(self, monkeypatch):
+        # With telemetry off, a full serving run must complete with a
+        # poisoned perf_counter: no clock read is reachable in the loop.
+        def poisoned():
+            raise AssertionError("clock read in an untimed serving run")
+
+        monkeypatch.setattr(time, "perf_counter", poisoned)
+        log = clock_engine().run(clock_trace(0, 1000))
+        assert log.n_requests == 1000
+
+
+class TestEnabledPath:
+    def test_enabled_serving_run_takes_the_fast_loop(self, monkeypatch):
+        # The counterpart with a registry on: the run never stops between
+        # events, and nothing is counted or sampled until the run is done.
+        stops = []
+        advance = ServingEngine._advance
+
+        def recorded_advance(self, st, ctx, stop):
+            stops.append(stop)
+            return advance(self, st, ctx, stop)
+
+        seen = []
+        finish = ServingEngine._finish
+
+        def checked_finish(self, st, ctx):
+            seen.append([r["name"] for r in ctx.registry.records()
+                         if r["type"] in ("counter", "histogram")])
+            return finish(self, st, ctx)
+
+        monkeypatch.setattr(ServingEngine, "_advance", recorded_advance)
+        monkeypatch.setattr(ServingEngine, "_finish", checked_finish)
+        with use_registry(MetricsRegistry()) as registry:
+            log = clock_engine().run(clock_trace(0, 1000))
+        assert stops == [_NO_STOP]
+        assert seen == [[]]
+        histograms = {r["name"]: r for r in registry.records()
+                      if r["type"] == "histogram"}
+        assert histograms["serving.latency"]["count"] == log.n_served
+        assert histograms["buffer.wait"]["count"] == log.n_requests
+
+
+class TestDashboardSection:
+    def test_no_perf_counters_no_section(self):
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            clock_engine().run(clock_trace(1, 800))
+        assert not [r for r in reg.records() if ".perf." in r.get("name", "")]
+        text = render_dashboard(reg)
+        assert "serving" in text
+        assert "performance (serving)" not in text
+
+
 ALLOWED_PREFIXES = ("checkpoint.",)
 #: The only events the serving loop and the batching buffer may record.
 LOOP_EVENTS = ("ReconfigureEvent", "GuardrailEvent", "CheckpointEvent")
