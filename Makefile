@@ -59,7 +59,8 @@ bench:
 	$(PYTEST) -q benchmarks
 
 ## All perf floors: the simulation core's speedups (grid sweep >= 3x,
-## batched labeling <= 1.5x serial, fused attention >= 1.8x composed) and
+## batched labeling <= 1.5x serial, fused attention >= 1.8x composed, MAP
+## sampling >= 5x the per-event walk) and
 ## the serving loop's overheads; each test prints its measurements as one
 ## JSON line.
 bench-perf:

@@ -19,6 +19,12 @@ import numpy as np
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_finite
 
+#: Steps of the background CTMC per block of random draws.
+_BLOCK = 8192
+#: Steps per chunk of :func:`_phase_walk`; a block is ``_BLOCK // _CHUNK``
+#: chunks.
+_CHUNK = 64
+
 
 class MAP:
     """A Markovian Arrival Process ``(D0, D1)``.
@@ -152,6 +158,26 @@ class MAP:
         return self.scv() * (1.0 + 2.0 * float(rho.sum()))
 
     # ------------------------------------------------------------- sampling
+    def jump_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exit rate of each phase and the cumulative distribution of its
+        next transition over ``2m`` outcomes: columns ``0..m-1`` hidden
+        transitions to each phase, ``m..2m-1`` arrivals into each phase.
+
+        ``__init__`` accepts rows of ``D0 + D1`` up to 1e-8 off zero, so a
+        row's total can fall short of 1. Each row is raised to 1.0 from its
+        last positive transition on, so every draw in ``[0, 1)`` lands on a
+        real transition; draws below the old total keep their outcome.
+        """
+        m = self.order
+        exit_rate = -np.diag(self.d0)
+        trans = np.hstack([self.d0 - np.diag(np.diag(self.d0)), self.d1])
+        trans = trans / exit_rate[:, None]
+        cum = np.cumsum(trans, axis=1)
+        last = 2 * m - 1 - np.argmax(trans[:, ::-1] > 0, axis=1)
+        tail = np.arange(2 * m) >= last[:, None]
+        cum[tail] = np.maximum(cum[tail], 1.0)
+        return exit_rate, cum
+
     def sample(
         self,
         n_arrivals: int | None = None,
@@ -162,19 +188,29 @@ class MAP:
         """Generate arrival timestamps starting at time 0.
 
         Exactly one of ``n_arrivals`` / ``duration`` must be given. The
-        simulation walks the background CTMC event by event, pre-drawing
-        random numbers in blocks so the Python loop stays lean.
+        background CTMC takes one step per exponential and uniform draw;
+        both are drawn in blocks of ``_BLOCK``, the first before any step
+        and each further one only when the walk needs another step, so the
+        draws and the generator's final state are those of a walk that
+        steps one event at a time. Within a block:
+
+        * the outcome of every step from every phase is one
+          ``np.searchsorted`` per phase over :meth:`jump_cdf`;
+        * the phase sequence, the only sequential dependence, is composed
+          exactly by :func:`_phase_walk`;
+        * times are ``np.cumsum`` of the block's start time and its
+          ``exponential / exit_rate`` gaps, which adds left to right, the
+          same double additions as ``t += gap`` step by step.
+
+        A step runs while the time before it is ``< duration`` and fewer
+        than ``n_arrivals`` have been kept; an arrival is kept iff its time
+        is ``< duration``.
         """
         if (n_arrivals is None) == (duration is None):
             raise ValueError("specify exactly one of n_arrivals or duration")
         rng = as_rng(seed)
         m = self.order
-        exit_rate = -np.diag(self.d0)
-        # Per-phase next-state distribution over 2m outcomes:
-        # columns 0..m-1 hidden transitions, m..2m-1 arrival transitions.
-        trans = np.hstack([self.d0 - np.diag(np.diag(self.d0)), self.d1])
-        trans = trans / exit_rate[:, None]
-        cum = np.cumsum(trans, axis=1)
+        exit_rate, cum = self.jump_cdf()
 
         if start_phase is None:
             theta = self.stationary_phase()
@@ -184,32 +220,65 @@ class MAP:
                 raise ValueError(f"start_phase must be in [0, {m}), got {start_phase}")
             phase = start_phase
 
-        arrivals: list[float] = []
+        parts: list[np.ndarray] = [np.empty(0)]
+        kept = 0
         t = 0.0
-        block = 8192
-        exp_buf = rng.exponential(size=block)
-        uni_buf = rng.random(size=block)
-        i = 0
+        exp_buf = rng.exponential(size=_BLOCK)
+        uni_buf = rng.random(size=_BLOCK)
         target_n = n_arrivals if n_arrivals is not None else np.inf
         target_t = duration if duration is not None else np.inf
-        while len(arrivals) < target_n and t < target_t:
-            if i >= block:
-                exp_buf = rng.exponential(size=block)
-                uni_buf = rng.random(size=block)
-                i = 0
-            t += exp_buf[i] / exit_rate[phase]
-            outcome = int(np.searchsorted(cum[phase], uni_buf[i]))
-            i += 1
-            if outcome >= m:  # arrival transition
-                if t < target_t:
-                    arrivals.append(t)
-                phase = outcome - m
-            else:
-                phase = outcome
-        return np.asarray(arrivals)
+        steps = np.arange(_BLOCK)
+        while kept < target_n and t < target_t:
+            if exp_buf is None:  # the previous block is used up
+                exp_buf = rng.exponential(size=_BLOCK)
+                uni_buf = rng.random(size=_BLOCK)
+            outcome = np.stack([np.searchsorted(cum[p], uni_buf) for p in range(m)])
+            phases, phase = _phase_walk(outcome % m, phase)
+            times = np.cumsum(np.concatenate(([t], exp_buf / exit_rate[phases])))
+            t = float(times[-1])
+            # Steps run while the time before them is < target_t (a prefix).
+            n_run = int(np.searchsorted(times[:-1], target_t))
+            keep = np.flatnonzero(
+                (outcome[phases[:n_run], steps[:n_run]] >= m) & (times[1:n_run + 1] < target_t))
+            if keep.size >= target_n - kept:  # the last kept arrival ends the walk
+                keep = keep[:int(np.ceil(target_n - kept))]
+                n_run = int(keep[-1]) + 1
+            parts.append(times[1:][keep])
+            kept += keep.size
+            if n_run < _BLOCK:
+                break
+            exp_buf = None
+        return np.concatenate(parts)
 
     def __repr__(self) -> str:
         return f"MAP(order={self.order}, rate={self.arrival_rate():.4g})"
+
+
+def _phase_walk(nxt: np.ndarray, phase: int) -> tuple[np.ndarray, int]:
+    """Phase before each step of a block, and the phase after it.
+
+    ``nxt[p, i]`` is the phase step ``i`` moves to from phase ``p``. The
+    block is cut into chunks of ``_CHUNK`` steps; every chunk is walked
+    from every start phase at once, then the chunk starts are chained from
+    ``phase`` and each chunk's path is gathered from its true start. Each
+    path follows ``nxt`` exactly, so the result is the step-by-step walk.
+    """
+    m, n = nxt.shape
+    chunks = n // _CHUNK
+    table = nxt.reshape(m * n)
+    offset = np.arange(chunks) * _CHUNK  # first step of each chunk
+    state = np.repeat(np.arange(m)[:, None], chunks, axis=1)  # (start phase, chunk)
+    path = np.empty((_CHUNK, m, chunks), dtype=nxt.dtype)
+    for j in range(_CHUNK):
+        path[j] = state
+        state = table[state * n + offset + j]
+    ends = state.T.tolist()  # ends[c][p]: phase after chunk c entered in p
+    starts = []
+    for end in ends:
+        starts.append(phase)
+        phase = end[phase]
+    chunk = np.arange(chunks)
+    return path[:, starts, chunk].T.reshape(n), phase
 
 
 def _factorial(k: int) -> int:

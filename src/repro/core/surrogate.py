@@ -157,8 +157,8 @@ class DeepBATSurrogate(Module):
         batch = seq.shape[0]
         with no_grad():
             e_seq = self.seq_embed(Tensor(seq.reshape(batch, -1, 1)))
-            self.encoder(self.pos_enc(e_seq))
-        maps = self.encoder.attention_maps()  # [(batch, heads, L, L)] per layer
+            # [(batch, heads, L, L)] per layer
+            maps = self.encoder.attention_maps(self.pos_enc(e_seq))
         agg = np.mean([m.mean(axis=1) for m in maps], axis=0)  # (batch, L, L)
         received = agg.mean(axis=1)  # attention mass received per position
         received = received / received.sum(axis=-1, keepdims=True)

@@ -2,10 +2,9 @@
 
 The implementation follows Vaswani et al. Scaled dot-product attention is
 one tape operation that works in a single score buffer, one cache-sized
-chunk of (batch, head) slabs at a time (DESIGN.md §4). The
-attention weights of the most recent forward pass are kept on
-:attr:`MultiHeadAttention.last_weights` for the attention-score
-visualizations of Fig. 14.
+chunk of (batch, head) slabs at a time (DESIGN.md §4).
+:meth:`MultiHeadAttention.attend` also returns the attention weights, for
+the attention-score visualizations of Fig. 14; ``forward`` drops them.
 """
 
 from __future__ import annotations
@@ -161,9 +160,6 @@ class MultiHeadAttention(Module):
         self.w_v = Linear(embed_dim, embed_dim, seed=rng)
         self.w_o = Linear(embed_dim, embed_dim, seed=rng)
         self.drop = Dropout(dropout, seed=rng)
-        #: attention weights of the most recent forward pass, shape
-        #: (batch, heads, seq_q, seq_k); populated for introspection (Fig. 14).
-        self.last_weights: np.ndarray | None = None
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -175,6 +171,17 @@ class MultiHeadAttention(Module):
         value: Tensor,
         mask: np.ndarray | None = None,
     ) -> Tensor:
+        return self.attend(query, key, value, mask)[0]
+
+    def attend(
+        self,
+        query: Tensor,
+        key: Tensor,
+        value: Tensor,
+        mask: np.ndarray | None = None,
+    ) -> tuple[Tensor, np.ndarray]:
+        """The forward output and the attention weights, shape
+        ``(batch, heads, seq_q, seq_k)`` (Fig. 14)."""
         squeeze = query.ndim == 2
         if squeeze:  # pooled vectors -> singleton sequence
             query = query.reshape(query.shape[0], 1, query.shape[1])
@@ -199,9 +206,8 @@ class MultiHeadAttention(Module):
                 mask = mask[:, None, :, :]
 
         attended, weights = scaled_dot_product_attention(q, k, v, mask=mask)
-        self.last_weights = weights.data
         out = attended.transpose(0, 2, 1, 3).reshape(batch, seq_q, self.embed_dim)
         out = self.w_o(self.drop(out))
         if squeeze:
             out = out.reshape(batch, self.embed_dim)
-        return out
+        return out, weights.data

@@ -19,7 +19,8 @@ falling over:
   endpoint first instead of each lane shedding FIFO on its own;
 * :class:`FailoverConfig` — fleet-level failover: a lane whose queue is
   backed up (outage-struck or budget-starved) drains batches to a
-  compatible idle endpoint, billed to the donor.
+  compatible idle endpoint; the donor's pool hosts the container, the
+  owner keeps the bill and the latencies.
 
 The JSON loader builds these dataclasses, and the outage model of
 :mod:`repro.serverless.outages`, with :func:`~repro.serving.schema.build`:
@@ -191,8 +192,8 @@ class FailoverConfig:
     A lane whose queue holds at least ``min_queue`` batches drains them to
     endpoints of the *same memory tier* whose own queues are empty and
     whose pools have capacity, highest-priority owners first. The donor's
-    pool hosts (and is billed for) the foreign batch; the owner keeps the
-    latency and the fault model.
+    pool hosts the container of the foreign batch; the owner keeps the
+    bill, the latency and the fault model.
     """
 
     min_queue: int = 1

@@ -68,20 +68,21 @@ class TestMultiHeadAttention:
         with pytest.raises(ValueError):
             MultiHeadAttention(10, 3)
 
-    def test_last_weights_recorded(self):
+    def test_attention_weights_returned(self):
         mha = MultiHeadAttention(8, 2, seed=0)
         x = Tensor(RNG.normal(size=(2, 4, 8)))
-        mha(x, x, x)
-        assert mha.last_weights.shape == (2, 2, 4, 4)
-        np.testing.assert_allclose(mha.last_weights.sum(axis=-1), np.ones((2, 2, 4)), atol=1e-9)
+        out, weights = mha.attend(x, x, x)
+        np.testing.assert_array_equal(out.data, mha(x, x, x).data)
+        assert weights.shape == (2, 2, 4, 4)
+        np.testing.assert_allclose(weights.sum(axis=-1), np.ones((2, 2, 4)), atol=1e-9)
 
     def test_key_padding_mask(self):
         mha = MultiHeadAttention(8, 2, seed=0)
         x = Tensor(RNG.normal(size=(2, 4, 8)))
         pad = np.zeros((2, 4), dtype=bool)
         pad[:, -1] = True  # last position masked out
-        mha(x, x, x, mask=pad)
-        np.testing.assert_allclose(mha.last_weights[..., -1], 0.0, atol=1e-9)
+        _, weights = mha.attend(x, x, x, mask=pad)
+        np.testing.assert_allclose(weights[..., -1], 0.0, atol=1e-9)
 
     def test_backward_reaches_all_projections(self):
         mha = MultiHeadAttention(8, 2, seed=0)
@@ -116,10 +117,10 @@ class TestFusedMatchesComposed:
         monkeypatch.setattr(attention, "scaled_dot_product_attention", sdpa)
         mha = MultiHeadAttention(self.EMBED, 4, seed=2)
         x = Tensor(x0, requires_grad=True)
-        out = mha(x, x, x, mask=mask)
+        out, weights = mha.attend(x, x, x, mask=mask)
         (out * out).sum().backward()
         grads = {name: p.grad for name, p in mha.named_parameters()}
-        return out.data, mha.last_weights, x.grad, grads
+        return out.data, weights, x.grad, grads
 
     def _assert_identical(self, monkeypatch, x0, mask=None):
         fused = self._run(monkeypatch, scaled_dot_product_attention, x0, mask)

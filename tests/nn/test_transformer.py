@@ -86,8 +86,7 @@ class TestEncoderStack:
     def test_attention_maps_collected(self):
         enc = TransformerEncoder(8, 2, 16, 2, seed=0)
         enc.eval()
-        enc(Tensor(RNG.normal(size=(1, 4, 8))))
-        maps = enc.attention_maps()
+        maps = enc.attention_maps(Tensor(RNG.normal(size=(1, 4, 8))))
         assert len(maps) == 2
         assert all(m.shape == (1, 2, 4, 4) for m in maps)
 
