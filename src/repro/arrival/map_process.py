@@ -31,7 +31,9 @@ class MAP:
 
     Parameters are validated on construction: ``D0`` must have non-negative
     off-diagonal entries and a strictly negative diagonal, ``D1`` must be
-    non-negative, and the rows of ``D0 + D1`` must sum to zero.
+    non-negative, the rows of ``D0 + D1`` must sum to zero, and every phase
+    must reach a phase with a positive ``D1`` entry through positive ``D0``
+    off-diagonals (or no arrival might ever come).
     """
 
     def __init__(self, d0: np.ndarray, d1: np.ndarray) -> None:
@@ -53,6 +55,14 @@ class MAP:
         rowsums = (d0 + d1).sum(axis=1)
         if not np.allclose(rowsums, 0.0, atol=1e-8):
             raise ValueError(f"rows of D0 + D1 must sum to zero, got {rowsums}")
+        # Every phase must reach an arrival, through positive D0
+        # off-diagonals, or sampling by count would never return.
+        reach = (d1 > 0).any(axis=1)
+        for _ in range(len(reach)):
+            reach |= ((off > 0) & reach).any(axis=1)
+        if not reach.all():
+            raise ValueError(f"phases {np.flatnonzero(~reach).tolist()} cannot reach "
+                             "a positive D1 entry through positive D0 off-diagonals")
         self.d0 = d0
         self.d1 = np.clip(d1, 0.0, None)
 

@@ -93,22 +93,29 @@ class BatchingBuffer:
         return self._pending_times[0] + self.config.timeout
 
     # ----------------------------------------------------------------- flow
-    def observe(self, arrival_time: float) -> list[Batch]:
-        """Register one arrival; returns any batches dispatched up to it."""
-        if arrival_time < self._last_time:
-            raise ValueError(
-                f"arrival times must be non-decreasing: {arrival_time} < {self._last_time}"
-            )
-        self._last_time = arrival_time
-        # Append before polling so an arrival landing exactly on a pending
-        # batch's deadline joins that batch (matching the simulator's
-        # closed-interval deadline semantics).
-        self._pending_idx.append(self._next_index)
-        self._pending_times.append(arrival_time)
-        self._next_index += 1
-        out = self.poll(arrival_time)
-        if len(self._pending_idx) >= self.config.batch_size:
-            out.append(self._dispatch(arrival_time))
+    def observe(self, *arrival_times: float) -> list[Batch]:
+        """Register arrivals in order; returns any batches dispatched up to
+        the last one. One call with several arrivals does exactly what one
+        call per arrival does; the serving engine passes a run of arrivals
+        of which only the last can close a batch."""
+        out = []
+        idx, times = self._pending_idx, self._pending_times
+        for t in arrival_times:
+            if t < self._last_time:
+                raise ValueError(
+                    f"arrival times must be non-decreasing: {t} < {self._last_time}"
+                )
+            self._last_time = t
+            # Append before polling so an arrival landing exactly on a
+            # pending batch's deadline joins that batch (matching the
+            # simulator's closed-interval deadline semantics).
+            idx.append(self._next_index)
+            times.append(t)
+            self._next_index += 1
+            if t >= times[0] + self.config.timeout:
+                out += self.poll(t)
+            if len(idx) >= self.config.batch_size:
+                out.append(self._dispatch(t))
         return out
 
     def poll(self, now: float) -> list[Batch]:

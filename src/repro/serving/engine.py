@@ -88,6 +88,7 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -280,6 +281,9 @@ class _RunContext:
     #: ``st.ts`` as a list of floats, built by the first :func:`_run_lanes`
     #: of a drive.
     arrivals: list | None = None
+    #: ``arrivals`` in a single-engine run, ``None`` in a fleet: the known
+    #: arrivals a buffer deadline is judged against (:func:`_fills_by`).
+    lookahead: list | None = None
 
 
 class ServingEngine:
@@ -825,7 +829,7 @@ class ServingEngine:
         st.timers.discard(deadline)
         for batch in st.buffer.poll(now):
             self._dispatch(st, ctx, batch, now)
-        self._arm_timer(st)
+        self._arm_timer(st, ctx)
 
     # ------------------------------------------------------------- plumbing
     def _push(self, st: _RunState, time: float, priority: int, kind: str,
@@ -854,12 +858,18 @@ class ServingEngine:
                 ctx.replay_pos += 1
             ctx.journal.append(event)
 
-    def _arm_timer(self, st: _RunState) -> None:
+    def _arm_timer(self, st: _RunState, ctx: _RunContext) -> None:
         # After any observe/poll/reconfigure the head deadline is
         # strictly in the future, so a timer armed here never fires
-        # late; the set dedupes repeat arming of the same deadline.
+        # late; the set dedupes repeat arming of the same deadline. A
+        # single-engine run arms it only if the head batch will not fill
+        # first, and judges again on every reconfigure.
         deadline = st.buffer.next_deadline()
-        if deadline is not None and deadline not in st.timers:
+        if (
+            deadline is not None and deadline not in st.timers
+            and not (ctx.lookahead is not None and _fills_by(
+                st.buffer, ctx.lookahead, st.arrival_ptr, deadline))
+        ):
             st.timers.add(deadline)
             self._push(st, deadline, _P_TIMER, _K_TIMER, deadline)
 
@@ -1488,7 +1498,7 @@ class ServingEngine:
         self._emit(st, ctx, ("reconfigure", now, str(st.active), reason))
         for batch in released:
             self._dispatch(st, ctx, batch, now)
-        self._arm_timer(st)
+        self._arm_timer(st, ctx)
 
     def _on_guardrail_action(self, st: _RunState, ctx: _RunContext,
                              now: float, action: str, observed: float) -> None:
@@ -1695,6 +1705,16 @@ class ServingEngine:
 
 
 # ------------------------------------------------------------- event loop
+def _fills_by(buffer: BatchingBuffer, ts: list, ptr: int,
+              deadline: float) -> bool:
+    """Whether the arrivals ``ts[ptr:]`` still to come fill the buffer's
+    head batch by ``deadline``: its timer then finds the batch gone. An
+    arrival exactly at the deadline goes before the timer and closes the
+    batch at that instant."""
+    i = ptr + buffer.config.batch_size - buffer.pending - 1
+    return i < len(ts) and ts[i] <= deadline
+
+
 def _arrival_runs(lanes) -> list[tuple[int, int]]:
     """The arrivals still to come, merged by ``(time, lane)`` with one
     stable ``lexsort`` and cut into runs of one lane: ``(lane, stop)``
@@ -1726,7 +1746,12 @@ def _run_lanes(lanes, stop: int = _NO_STOP, after=None, tick=None) -> bool:
 
     One lane with no hooks is a :class:`ServingEngine` run: it returns
     True when ``st.events_processed`` reaches ``stop``, False when no
-    event is left. A fleet runs to the end, calling ``after(lane, st)``
+    event is left. It feeds the buffer a run of arrivals per
+    :meth:`BatchingBuffer.observe` call, cut so that only the run's last
+    arrival can close a batch, and arms a buffer deadline only when the
+    known arrivals will not fill the head batch by then (:func:`_fills_by`).
+    Each arrival still counts as one event. A fleet runs to the end, one
+    arrival per step and arming every deadline, calling ``after(lane, st)``
     after each lane event and ``tick(time)`` for each fleet entry (tie
     key ``-1``: first at equal ``(time, priority)``). Batches still
     queued at the end fail (:meth:`ServingEngine._fail_unserved`).
@@ -1737,6 +1762,7 @@ def _run_lanes(lanes, stop: int = _NO_STOP, after=None, tick=None) -> bool:
     for eng, st, ctx in lanes:
         if ctx.arrivals is None:
             ctx.arrivals = st.ts.tolist()
+        ctx.lookahead = None if fleet else ctx.arrivals
         arrival_locals.append((
             eng, st, ctx, ctx.arrivals, st.buffer, st.timers, st.recent_ts,
             st.trace is not None or ctx.journal is not None,
@@ -1767,29 +1793,60 @@ def _run_lanes(lanes, stop: int = _NO_STOP, after=None, tick=None) -> bool:
             t = ts[ptr]
             if t > head_time or (t == head_time and head_prio < _P_ARRIVAL):
                 break
-            st.clock = t
-            st.arrival_ptr = ptr = ptr + 1
-            recent_ts.append(t)
-            if emit:
-                eng._emit(st, ctx, ("arrival", t, ptr - 1))
+            end = ptr + 1
+            if not (fleet or continuous):
+                # A single engine serves a run of arrivals, cut so that
+                # only its last one can close a batch: at most the ones
+                # that fill it, and one at or after the head deadline only
+                # alone. A run also ends before the heap head, at a drift
+                # check and at ``stop``.
+                lim = min(seg_stop, brk - events + ptr,
+                          ptr + buffer.config.batch_size - buffer.pending)
+                if check_drift:
+                    lim = min(lim, ptr + drift_every - ptr % drift_every)
+                if lim > end:
+                    deadline = buffer.next_deadline()
+                    if deadline is None:
+                        deadline = t + buffer.config.timeout
+                    lim = bisect_left(ts, deadline, end, lim)
+                    end = (bisect_left if head_prio < _P_ARRIVAL
+                           else bisect_right)(ts, head_time, end, lim)
             before = len(heap)
-            if continuous:
+            if end > ptr + 1:
+                run = ts[ptr:end]
+                st.clock = t = run[-1]
+                recent_ts.extend(run)
+                if emit:
+                    for i, t_i in enumerate(run, ptr):
+                        eng._emit(st, ctx, ("arrival", t_i, i))
+                batches = buffer.observe(*run)
+            else:
+                st.clock = t
+                recent_ts.append(t)
+                if emit:
+                    eng._emit(st, ctx, ("arrival", t, ptr))
+                batches = None if continuous else buffer.observe(t)
+            events += end - ptr
+            st.arrival_ptr = ptr = end
+            if batches is None:
                 # Token-streaming arrivals bypass the buffer: they wait in
                 # the generation queue and join a running session at its
                 # next iteration boundary.
                 eng._gen_arrival(st, ctx, t, ptr - 1)
             else:
-                for batch in buffer.observe(t):
+                for batch in batches:
                     eng._dispatch(st, ctx, batch, t)
                 deadline = buffer.next_deadline()
-                if deadline is not None and deadline not in timers:
+                if (
+                    deadline is not None and deadline not in timers
+                    and (fleet or not _fills_by(buffer, ts, ptr, deadline))
+                ):
                     timers.add(deadline)
                     heappush(heap, (deadline, _P_TIMER, st.seq, _K_TIMER,
                                     deadline))
                     st.seq += 1
             if check_drift and ptr % drift_every == 0:
                 eng._check_drift(st, ctx, t)
-            events += 1
             if events >= brk:
                 if not fleet:
                     st.events_processed = events

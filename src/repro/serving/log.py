@@ -184,6 +184,8 @@ class ServingLog:
     #: Optional deterministic event trace (``record_trace=True`` runs).
     event_trace: list[tuple] | None = None
     # Reliability layer (PR 5): crash safety and the SLO guardrail.
+    #: Events the loop processed (every arrival and every heap entry it
+    #: popped): a property of the loop, not of the simulated run.
     n_events: int = 0
     checkpoints: int = 0
     guardrail_trips: int = 0
@@ -256,16 +258,24 @@ class ServingLog:
         return self.latencies[~self.shed]
 
     def p(self, percentile: float) -> float:
+        """Latency percentile over the served requests that started: a
+        failed request that never started (NaN latency, its batch counted
+        by ``unserved_batches``) is left out; :meth:`vcr` charges it."""
         lat = self.served_latencies()
+        lat = lat[~np.isnan(lat)]
         if lat.size == 0:
             return np.nan
         return float(np.percentile(lat, percentile))
 
     def vcr(self, sequence_length: int | None = None,
             percentile: float = 95.0) -> float:
-        """SLO Violation Count Ratio over the served requests (Eq. 11)."""
+        """SLO Violation Count Ratio over the served requests (Eq. 11). A
+        request that never started counts at the largest finite latency
+        (``inf`` would read NaN at an integer rank: ``0 * inf``)."""
         length = self.sequence_length if sequence_length is None else sequence_length
-        return _vcr(self.served_latencies(), self.slo, length, percentile)
+        lat = self.served_latencies()
+        lat = np.where(np.isnan(lat), np.finfo(float).max, lat)
+        return _vcr(lat, self.slo, length, percentile)
 
     # ------------------------------------------------------ generation view
     @property

@@ -74,6 +74,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             MAP(np.array([[0.0]]), np.array([[0.0]]))
 
+    def test_rejects_map_without_arrivals(self):
+        # It used to construct, and sample(n_arrivals=1) never returned.
+        with pytest.raises(ValueError, match=r"phases \[0, 1\] cannot reach"):
+            MAP([[-1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]])
+
+    def test_rejects_closed_class_without_arrivals(self):
+        # Phase 0 arrives, but once in {1, 2} the chain never leaves.
+        d0 = [[-3.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]]
+        d1 = [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match=r"phases \[1, 2\] cannot reach"):
+            MAP(d0, d1)
+
+    def test_accepts_silent_phase_that_reaches_an_arrival(self):
+        m = MAP([[-1.0, 1.0], [0.0, -2.0]], [[0.0, 0.0], [2.0, 0.0]])
+        assert m.sample(n_arrivals=5, seed=0).size == 5
+
 
 class TestPoisson:
     def test_moments(self):

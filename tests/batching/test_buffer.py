@@ -1,6 +1,8 @@
 """Tests for the online batching buffer, including cross-checks against
 the vectorized simulator (they implement the same (B, T) policy)."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,98 @@ class TestOnlineBuffer:
             all_batches.extend(buf.observe(t))
         idx = np.concatenate([b.indices for b in all_batches])
         np.testing.assert_allclose(idx, [0, 1, 2, 3])
+
+
+def as_tuples(batches):
+    return [(b.indices.tolist(), b.arrival_times.tolist(), b.dispatch_time)
+            for b in batches]
+
+
+def state(buf):
+    return buf._pending_idx, buf._pending_times, buf._next_index
+
+
+def engine_cut(ts, ptr, buf, other):
+    """The end of the run from ``ptr`` that the serving engine feeds
+    ``buf``: at most the arrivals that fill the head batch, and none at or
+    after its deadline but the first, alone. ``other`` stands in for the
+    engine's other bounds (heap head, drift check, stop)."""
+    lim = min(len(ts), ptr + buf.config.batch_size - buf.pending, ptr + other)
+    deadline = buf.next_deadline()
+    if deadline is None:
+        deadline = ts[ptr] + buf.config.timeout
+    return bisect_left(ts, deadline, ptr + 1, max(lim, ptr + 1))
+
+
+#: Arrivals on a 1/8 grid with ties, and timeouts on it too (``T = 0``
+#: included): arrivals land exactly on deadlines.
+grid_arrivals = st.lists(st.integers(0, 3), min_size=1, max_size=60).map(
+    lambda gaps: (np.cumsum(gaps) / 8.0).tolist())
+grid_configs = st.builds(BatchConfig, st.just(1024.0), st.integers(1, 6),
+                         st.sampled_from([0.0, 0.125, 0.25, 0.5]))
+
+
+class TestObserveRuns:
+    """``observe(*run)`` does what one ``observe`` per arrival does."""
+
+    @given(grid_arrivals, grid_configs, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_engine_runs_match_one_at_a_time(self, ts, config, data):
+        runs, single = BatchingBuffer(config), BatchingBuffer(config)
+        ptr = 0
+        while ptr < len(ts):
+            end = engine_cut(ts, ptr, runs, data.draw(st.integers(1, 8)))
+            got = runs.observe(*ts[ptr:end])
+            want = [single.observe(t) for t in ts[ptr:end]]
+            # Only the run's last arrival closes a batch.
+            assert not any(want[:-1])
+            assert as_tuples(got) == as_tuples(want[-1])
+            assert state(runs) == state(single)
+            ptr = end
+        assert as_tuples(runs.flush()) == as_tuples(single.flush())
+
+    @given(grid_arrivals, grid_configs, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_runs_match_one_at_a_time(self, ts, config, data):
+        runs, single = BatchingBuffer(config), BatchingBuffer(config)
+        ptr = 0
+        while ptr < len(ts):
+            end = ptr + data.draw(st.integers(1, 10))
+            got = runs.observe(*ts[ptr:end])
+            want = [b for t in ts[ptr:end] for b in single.observe(t)]
+            assert as_tuples(got) == as_tuples(want)
+            assert state(runs) == state(single)
+            ptr = end
+
+    def test_arrivals_tied_at_the_deadline(self):
+        buf = BatchingBuffer(BatchConfig(1024.0, 8, 0.25))
+        assert buf.observe(0.0, 0.125) == []
+        # Both land on the head deadline: the first closes the batch with
+        # itself in it, the second opens the next one.
+        out = buf.observe(0.25, 0.25)
+        assert as_tuples(out) == [([0, 1, 2], [0.0, 0.125, 0.25], 0.25)]
+        assert buf.pending == 1 and buf.next_deadline() == 0.5
+
+    def test_batch_filled_on_the_last_arrival(self):
+        buf = BatchingBuffer(BatchConfig(1024.0, 4, 1.0))
+        assert buf.observe(0.0) == []
+        out = buf.observe(0.1, 0.2, 0.3)
+        assert as_tuples(out) == [([0, 1, 2, 3], [0.0, 0.1, 0.2, 0.3], 0.3)]
+        assert buf.pending == 0 and buf.next_deadline() is None
+
+    def test_zero_timeout(self):
+        buf = BatchingBuffer(BatchConfig(1024.0, 4, 0.0))
+        # Every arrival is due the moment it arrives and leaves alone.
+        out = buf.observe(0.0, 0.0, 0.5)
+        assert as_tuples(out) == [([0], [0.0], 0.0), ([1], [0.0], 0.0),
+                                  ([2], [0.5], 0.5)]
+
+    def test_run_going_backwards_names_the_time(self):
+        buf = BatchingBuffer(BatchConfig(1024.0, 8, 1.0))
+        with pytest.raises(ValueError, match="0.25 < 0.5"):
+            buf.observe(0.0, 0.5, 0.25)
+        with pytest.raises(ValueError, match="0.125 < 0.5"):
+            buf.observe(0.125)
 
 
 class TestBufferMatchesSimulator:

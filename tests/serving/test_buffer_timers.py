@@ -1,0 +1,90 @@
+"""The single-engine loop schedules only the buffer timeouts that can fire.
+
+A buffer deadline is armed only when the known arrivals will not fill the
+head batch by then. In a static run nothing else moves the head, so every
+timer that fires finds its deadline at the buffer head and dispatches. A
+reconfiguration judges the head batch again under its new ``(B, T)``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.batching.buffer import BatchingBuffer
+from repro.batching.config import BatchConfig
+from repro.core.types import Decision
+from repro.serverless.platform import ServerlessPlatform
+from repro.serverless.service_profile import ColdStartModel
+from repro.serving import ServingEngine, WarmPoolConfig
+from repro.serving.engine import _fills_by
+
+pytestmark = pytest.mark.serving
+
+
+class TimerCheckingEngine(ServingEngine):
+    """Records, for each timer that fires, whether its deadline was the
+    buffer head's and how many batches it dispatched."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fired = []
+
+    def _on_timer(self, st, ctx, now, deadline):
+        at_head = st.buffer.next_deadline() == deadline
+        before = len(st.buffer._dispatched)
+        super()._on_timer(st, ctx, now, deadline)
+        self.fired.append((at_head, len(st.buffer._dispatched) - before))
+
+
+@pytest.mark.parametrize("rate", [2000.0, 150.0])
+def test_every_timer_fires_on_the_head_batch(rate):
+    # The perf benchmark's serve-static shape (2000 req/s fills batches by
+    # size), and a rate at which batches fill and time out about evenly.
+    # The trace's last three arrivals always wait out their timeout.
+    ts = np.cumsum(np.random.default_rng(0).exponential(1.0 / rate, 4003))
+    eng = TimerCheckingEngine(
+        BatchConfig(memory_mb=2048.0, batch_size=8, timeout=0.05),
+        platform=ServerlessPlatform(cold_start=ColdStartModel()),
+        pool=WarmPoolConfig(keep_alive_s=30.0, max_containers=64,
+                            max_queued_batches=256),
+    )
+    log = eng.run(ts)
+    assert eng.fired
+    assert all(at_head and n > 0 for at_head, n in eng.fired)
+    # Every batch short of B left on a timer, and the loop processed
+    # nothing but the arrivals, one completion per batch and those timers.
+    timed_out = int(np.sum(log.batch_sizes < 8))
+    assert sum(n for _, n in eng.fired) == timed_out
+    assert log.n_events == ts.size + log.batch_sizes.size + len(eng.fired)
+
+
+def test_fill_arrival_on_the_deadline_needs_no_timer():
+    buf = BatchingBuffer(BatchConfig(memory_mb=2048.0, batch_size=3,
+                                     timeout=0.5))
+    buf.observe(0.0)
+    ts = [0.0, 0.25, 0.5, 0.75]
+    # The third arrival lands on the head deadline: it goes before the
+    # timer and closes the batch at that instant.
+    assert _fills_by(buf, ts, 1, 0.5)
+    assert not _fills_by(buf, ts, 1, 0.4999)
+    # The trace ends before the batch fills.
+    assert not _fills_by(buf, ts[:2], 1, 0.5)
+
+
+class ShortenTimeout:
+    """Chooses ``T = 0.5`` s, ``B`` unchanged."""
+
+    def choose(self, history, slo):
+        return Decision(config=BatchConfig(2048.0, 2, 0.5), decision_time=0.0)
+
+
+def test_reconfigure_judges_the_head_batch_again():
+    # Under T = 1 s the arrival at 0.9 s fills the head batch in time, so
+    # no timer is armed. T = 0.5 s lands at 0.2 s, with no arrival before
+    # the new deadline: only the reconfiguration can arm its timer.
+    log = ServingEngine(
+        BatchConfig(2048.0, 2, 1.0), chooser=ShortenTimeout(),
+        decision_interval_s=0.1, deploy_delay_s=0.1, min_history=0,
+    ).run(np.array([0.0, 0.9]))
+    assert log.decisions[0].applied_at == pytest.approx(0.2)
+    assert log.dispatch_times.tolist() == [0.5, 1.4]
+    assert log.start_times.tolist() == [0.5, 1.4]

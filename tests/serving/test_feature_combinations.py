@@ -59,17 +59,12 @@ def test_winning_hedge_keeps_n_failed_equal_to_the_mask(platform_seed):
     assert log.to_experiment_log(10.0).total_failed == log.n_failed
 
 
-@pytest.mark.faults
-@pytest.mark.outage
-@pytest.mark.parametrize("seed, unserved", [(1, 2), (3, 12)])
-def test_queue_left_behind_an_outage_fails_at_the_end(seed, unserved):
-    # A crash inside the outage window kills the only container and
-    # requeues its batch; the cold start is denied and no later event
-    # retries the queue. The run ends there, and what it still queues
-    # fails, never started, instead of being neither served, shed nor
-    # failed.
+def stranded_run(seed):
+    """A crash inside the outage window kills the only container and
+    requeues its batch; the cold start is denied and no later event
+    retries the queue. The run ends there with requests still queued."""
     ts = np.cumsum(np.random.default_rng(seed).exponential(1 / 600, 51))
-    log = ServingEngine(
+    return ServingEngine(
         BatchConfig(1024.0, 1, 0.1),
         platform=ServerlessPlatform(seed=seed,
                                     faults=FaultModel(failure_rate=0.3),
@@ -79,12 +74,36 @@ def test_queue_left_behind_an_outage_fails_at_the_end(seed, unserved):
                             seed=4),
         pool=WarmPoolConfig(keep_alive_s=0.3, max_containers=1),
     ).run(ts, record_trace=True)
+
+
+@pytest.mark.faults
+@pytest.mark.outage
+@pytest.mark.parametrize("seed, unserved", [(1, 2), (3, 12)])
+def test_queue_left_behind_an_outage_fails_at_the_end(seed, unserved):
+    # What the run still queues fails, never started, instead of being
+    # neither served, shed nor failed.
+    log = stranded_run(seed)
     never = np.isnan(log.latencies) & ~log.shed
     assert log.unserved_batches == never.sum() == unserved
     assert log.failed[never].all()
     assert (log.shed | log.failed | np.isfinite(log.latencies)).all()
     assert log.n_failed == int(log.failed.sum())
     assert [e[0] for e in log.event_trace[-unserved:]] == ["unserved"] * unserved
+
+
+@pytest.mark.faults
+@pytest.mark.outage
+def test_never_started_requests_leave_p_and_count_in_vcr():
+    log = stranded_run(1)
+    lat = log.served_latencies()
+    assert np.isnan(lat[-2:]).all() and np.isfinite(lat[:-2]).all()
+    # p() reads the requests that started; it used to read NaN.
+    assert log.p(95) == np.percentile(lat[:-2], 95)
+    # One chunk of 51, stranded pair included: a violation (it read 0.0).
+    assert log.vcr() == 100.0
+    # The p100 of the chunk is a never-started request at an integer
+    # rank, where inf would read NaN.
+    assert log.vcr(percentile=100.0) == 100.0
 
 
 @pytest.mark.fleet
