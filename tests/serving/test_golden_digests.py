@@ -282,6 +282,10 @@ def run_fleet():
     return [log[spec.name] for spec in fleet_specs()]
 
 
+#: The admission budget of :func:`run_gen_budget`.
+GEN_BUDGET = 256
+
+
 def run_gen_buffer():
     gen = GenerationConfig(dispatcher="buffer",
                            length_model=TokenLengthModel(output_mean=8.0))
@@ -300,6 +304,47 @@ def run_gen_continuous():
         CONFIG, platform=ServerlessPlatform(seed=7),
         pool=WarmPoolConfig(max_containers=4), generation=gen,
     ).run(poisson(300.0, 1500, 7), name="gen-continuous", record_trace=True)
+
+
+def run_gen_budget():
+    """A ``max_batch_tokens`` budget that some footprints exceed alone:
+    those requests join only an empty batch and run by themselves."""
+    gen = GenerationConfig(
+        dispatcher="continuous",
+        length_model=TokenLengthModel(prompt_mean=64.0, output_mean=8.0),
+        max_batch_tokens=GEN_BUDGET,
+    )
+    return ServingEngine(
+        CONFIG, platform=ServerlessPlatform(seed=13),
+        pool=WarmPoolConfig(max_containers=4), generation=gen,
+    ).run(poisson(300.0, 1500, 13), name="gen-budget", record_trace=True)
+
+
+def run_gen_one_token():
+    """``output_mean = 1``: every request is prefilled and finished at
+    the same iteration boundary, and no session ever decodes."""
+    gen = GenerationConfig(dispatcher="continuous",
+                           length_model=TokenLengthModel(output_mean=1.0))
+    return ServingEngine(
+        CONFIG, platform=ServerlessPlatform(seed=14),
+        pool=WarmPoolConfig(max_containers=4), generation=gen,
+    ).run(poisson(300.0, 1500, 14), name="gen-one-token", record_trace=True)
+
+
+def run_gen_guardrail():
+    """A TTFT objective watched by the guardrail, which trips, deploys
+    ``B = 4`` for the sessions opened after it, and restores, mid-run."""
+    gen = GenerationConfig(
+        dispatcher="continuous",
+        length_model=TokenLengthModel(prompt_mean=64.0, output_mean=8.0),
+        ttft_slo=0.015,
+    )
+    return ServingEngine(
+        CONFIG, platform=ServerlessPlatform(seed=15),
+        pool=WarmPoolConfig(max_containers=8), generation=gen,
+        guardrail=GuardrailConfig(window=32, k=2, cooldown_s=1.0,
+                                  fallback=BatchConfig(2048.0, 4, 0.05)),
+    ).run(poisson(200.0, 1500, 15), name="gen-guardrail", record_trace=True)
 
 
 def run_checkpoint(tmp_path):
@@ -387,6 +432,12 @@ GOLDEN = {
         "5ae0dcc711eb7d8d53d5755c70513d9dcf800ed4c09021881f9ca6995fb2d6b3",
     "gen-continuous":
         "20b0f6ccb0757e34d1978f993853479f278b274b94a0422073910d840371d6df",
+    "gen-budget":
+        "8a9ed72c037e22b77cf01daea9699f161ee73105d9288aefd58a2de8c841e4bc",
+    "gen-one-token":
+        "b8ac4afe5556ee502e9d85126d3328ac40576f618b66368a315db3fadef1d589",
+    "gen-guardrail":
+        "5dd0b0b8a4365b98142000e59d9e31751ed86bd53728501cfeeccca5f7e61146",
     "checkpoint":
         "fcbb200c9727d059b08a535ff7cbf7dee89afedc1d52a6e9018bb7e6df3317cb",
 }
@@ -404,6 +455,14 @@ BEHAVIOUR = {
         "a47eb3c7344bc69b87c168b0c5706644faa628aa6fe4f026330ef92f67660ea8",
     "gen-buffer":
         "a704abde9dbf4bd69bd6b18b3671240eeb2f6eb6686918f32b65f92221cbe919",
+    "gen-continuous":
+        "0bafbe7fc62aa5d31c5f065d1d422545795a0859d42f7ae1a27663536f03556a",
+    "gen-budget":
+        "ad0e38dd7f7660f3953209737104aa00c7c741090eaee5412cf94bc06c51e6bb",
+    "gen-one-token":
+        "8acd4cd8f616abd14663d0af5cabb88c7377831d20bbc0eedd6334184f21d9d7",
+    "gen-guardrail":
+        "55c50ad0d34b0a36cc458b3a08e17a374f86decf118cf10a28a2f823decd7649",
     "checkpoint":
         "505a3b1f0ce00a7b4560154db716bc58725248fad873e77fe5ea2fa27ead7a45",
     "unbuffered":
@@ -465,6 +524,32 @@ class TestGoldenDigests:
         log = run_gen_continuous()
         assert log.gen_sessions > 0
         assert digest(log) == GOLDEN["gen-continuous"]
+        assert behaviour_digest(log) == BEHAVIOUR["gen-continuous"]
+
+    def test_continuous_budget_runs_oversized_requests_alone(self):
+        log = run_gen_budget()
+        oversized = log.prompt_tokens + log.output_tokens > GEN_BUDGET
+        assert oversized.any() and not oversized.all()
+        assert np.isfinite(log.latencies[oversized]).all()
+        assert digest(log) == GOLDEN["gen-budget"]
+        assert behaviour_digest(log) == BEHAVIOUR["gen-budget"]
+
+    def test_continuous_one_token_requests(self):
+        log = run_gen_one_token()
+        assert (log.output_tokens == 1).all()
+        assert log.gen_decode_iterations == 0 and log.gen_sessions > 1
+        np.testing.assert_array_equal(log.ttft, log.latencies)
+        assert digest(log) == GOLDEN["gen-one-token"]
+        assert behaviour_digest(log) == BEHAVIOUR["gen-one-token"]
+
+    def test_continuous_guardrail_trips_mid_run(self):
+        log = run_gen_guardrail()
+        assert log.guardrail_trips > 0 and log.guardrail_restores > 0
+        assert log.reconfigurations > 0
+        trips = [d.time for d in log.decisions if d.reason == "guardrail"]
+        assert log.arrival_times[0] < trips[0] < log.arrival_times[-1]
+        assert digest(log) == GOLDEN["gen-guardrail"]
+        assert behaviour_digest(log) == BEHAVIOUR["gen-guardrail"]
 
     def test_checkpoint_kill_restore(self, tmp_path):
         log = run_checkpoint(tmp_path)
