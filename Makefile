@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving bench-decide bench-fleet lint
+.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving bench-decide bench-fleet bench-gen lint
 
 ## Tier-1: the fast unit/integration suite (excludes the `bench` marker).
 test:
@@ -84,6 +84,13 @@ bench-decide:
 ## `make bench-fleet TRACE=1` adds the per-layer metrics.
 bench-fleet:
 	$(PYTHON) benchmarks/perf/run.py --workload fleet-outage --seed 0 --seconds 12 --trace $(TRACE)
+
+## One 12 s run of the perf benchmark's `gen-continuous` workload: token
+## streaming through continuous-batching sessions, the inner loop for
+## session and generation-handler perf work.
+## `make bench-gen TRACE=1` adds the per-layer metrics.
+bench-gen:
+	$(PYTHON) benchmarks/perf/run.py --workload gen-continuous --seed 0 --seconds 12 --trace $(TRACE)
 
 ## Syntax check of every tree we ship (no third-party linter in the image).
 lint:

@@ -10,7 +10,7 @@ from repro.batching.config import (
     config_grid,
     grid_features,
 )
-from repro.batching.continuous import ContinuousSession, GenRequest, StepResult
+from repro.batching.continuous import ContinuousSession, GenRequest
 from repro.batching.multiclass import (
     MultiClassConfig,
     MultiClassResult,
@@ -41,7 +41,6 @@ __all__ = [
     "MultiClassResult",
     "RequestClass",
     "SimulationResult",
-    "StepResult",
     "config_grid",
     "form_batches",
     "grid_features",

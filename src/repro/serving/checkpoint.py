@@ -39,7 +39,7 @@ from repro.utils.io import atomic_write
 
 #: Bump when the snapshot layout changes; restore refuses other formats,
 #: so a snapshot only restores into a build that writes its layout.
-SNAPSHOT_FORMAT = 3
+SNAPSHOT_FORMAT = 4
 
 
 class CheckpointError(RuntimeError):

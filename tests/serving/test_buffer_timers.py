@@ -1,7 +1,7 @@
 """The single-engine loop schedules only the buffer timeouts that can fire.
 
-A buffer deadline is armed only when the known arrivals will not fill the
-head batch by then. In a static run nothing else moves the head, so every
+A buffer deadline is armed only when the known arrivals will not close the
+head batch by then: fill it, or land exactly on the deadline. In a static run nothing else moves the head, so every
 timer that fires finds its deadline at the buffer head and dispatches. A
 reconfiguration judges the head batch again under its new ``(B, T)``.
 """
@@ -57,6 +57,23 @@ def test_every_timer_fires_on_the_head_batch(rate):
     assert log.n_events == ts.size + log.batch_sizes.size + len(eng.fired)
 
 
+def test_every_timer_fires_on_the_head_batch_of_a_grid_trace():
+    # Arrivals on a 1/64 s grid with T = 4/64 s tie with each other and
+    # land exactly on head deadlines, where they close the head batch
+    # before its timer could.
+    rng = np.random.default_rng(10)
+    ts = np.ceil(np.cumsum(rng.exponential(1.0 / 100.0, 1500)) * 64.0) / 64.0
+    eng = TimerCheckingEngine(BatchConfig(2048.0, 8, 0.0625),
+                              platform=ServerlessPlatform(seed=10))
+    log = eng.run(ts)
+    timed_out = log.batch_sizes < 8
+    # Some timeout batches left at the instant of an arrival.
+    assert np.isin(log.dispatch_times[timed_out], ts).any()
+    assert eng.fired
+    assert all(at_head and n > 0 for at_head, n in eng.fired)
+    assert log.n_events == ts.size + log.batch_sizes.size + len(eng.fired)
+
+
 def test_fill_arrival_on_the_deadline_needs_no_timer():
     buf = BatchingBuffer(BatchConfig(memory_mb=2048.0, batch_size=3,
                                      timeout=0.5))
@@ -68,6 +85,18 @@ def test_fill_arrival_on_the_deadline_needs_no_timer():
     assert not _fills_by(buf, ts, 1, 0.4999)
     # The trace ends before the batch fills.
     assert not _fills_by(buf, ts[:2], 1, 0.5)
+
+
+def test_arrival_on_the_deadline_needs_no_timer():
+    buf = BatchingBuffer(BatchConfig(memory_mb=2048.0, batch_size=8,
+                                     timeout=0.5))
+    buf.observe(0.0)
+    # Far short of filling the batch, but an arrival lands exactly on the
+    # deadline and times the batch out at that instant, before the timer.
+    assert _fills_by(buf, [0.0, 0.25, 0.5, 0.75], 1, 0.5)
+    assert not _fills_by(buf, [0.0, 0.25, 0.5 + 1e-9, 0.75], 1, 0.5)
+    # Only the arrivals still to come count.
+    assert not _fills_by(buf, [0.0, 0.5], 2, 0.5)
 
 
 class ShortenTimeout:

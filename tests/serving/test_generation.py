@@ -223,17 +223,17 @@ class TestContinuousSession:
         sess = self.make()
         queue = deque([_req(0, out=2), _req(1, out=1)])
         first = sess.step(queue)
-        assert first.next_kind == "prefill"
-        assert first.next_duration == DEFAULT_TOKEN_PROFILE.ttft(2048.0, 2)
+        assert sess.pending_kind == "prefill"
+        assert first == DEFAULT_TOKEN_PROFILE.ttft(2048.0, 2)
         second = sess.step(queue)
         # Both prefilled; the one-token request finished at the boundary.
-        assert {r.index for r in second.prefilled} == {0, 1}
-        assert [r.index for r in second.finished] == [1]
-        assert second.next_kind == "decode"
-        assert second.next_duration == DEFAULT_TOKEN_PROFILE.tpot(2048.0, 1)
+        assert {r.index for r in sess.prefilled} == {0, 1}
+        assert [r.index for r in sess.finished] == [1]
+        assert sess.pending_kind == "decode"
+        assert second == DEFAULT_TOKEN_PROFILE.tpot(2048.0, 1)
         third = sess.step(queue)
-        assert [r.index for r in third.finished] == [0]
-        assert third.next_duration is None
+        assert [r.index for r in sess.finished] == [0]
+        assert third is None
         assert sess.n_served == 2
         assert sess.n_prefills == 1 and sess.n_decodes == 1
 
@@ -254,8 +254,8 @@ class TestContinuousSession:
         sess.step(queue)
         sess.step(queue)  # request 0 now decoding
         queue.append(_req(1))
-        res = sess.step(queue)
-        assert res.next_kind == "prefill"
+        sess.step(queue)
+        assert sess.pending_kind == "prefill"
 
     def test_token_budget_blocks_joining(self):
         from collections import deque
@@ -265,7 +265,9 @@ class TestContinuousSession:
         sess.step(queue)
         assert [r.index for r in sess.pending_admits] == [0]
         assert len(queue) == 1
-        assert not sess.can_accept(queue[0])
+        # A free slot, but no room in the budget for the waiting request.
+        assert sess.slots < sess.batch_size
+        assert sess.tokens + queue[0].footprint > sess.max_batch_tokens
 
     def test_oversized_request_still_runs_alone(self):
         """Liveness: a request whose footprint exceeds the whole budget is
@@ -274,10 +276,35 @@ class TestContinuousSession:
 
         sess = self.make(max_batch_tokens=10)
         queue = deque([_req(0, prompt=100, out=50)])
-        res = sess.step(queue)
+        sess.step(queue)
         assert [r.index for r in sess.pending_admits] == [0]
         assert not queue
-        assert res.next_kind == "prefill"
+        assert sess.pending_kind == "prefill"
+
+    def test_quiet_decode_boundary_allocates_nothing(self):
+        from collections import deque
+
+        sess = self.make()
+        queue = deque([_req(0, out=4), _req(1, out=6)])
+        sess.step(queue)
+        sess.step(queue)  # both prefilled, decoding
+        running = sess.running
+        groups = {k: list(v) for k, v in running.items()}
+        duration = sess.step(queue)
+        # Nothing finished or joined: shared empty effects, the same
+        # filing of the running requests, a memoized duration.
+        assert sess.prefilled == () and sess.finished == ()
+        assert sess.running is running and running == groups
+        assert duration is sess.durations[2]
+        assert sess.slots == 2 and sess.n_decodes == 2
+
+    def test_request_fields_and_immutability(self):
+        req = _req(3, arrival=1.5, prompt=7, out=2)
+        assert req == GenRequest(index=3, arrival=1.5, prompt_tokens=7,
+                                 output_tokens=2)
+        assert req.footprint == 9
+        with pytest.raises(AttributeError):
+            req.index = 4
 
 
 # --------------------------------------------------- engine: buffer mode
