@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving bench-decide bench-fleet bench-gen lint
+.PHONY: test test-faults test-serving test-fleet test-chaos test-prewarm test-gen test-outage test-golden bench-smoke bench bench-perf bench-serving bench-decide bench-static bench-fleet bench-gen lint
 
 ## Tier-1: the fast unit/integration suite (excludes the `bench` marker).
 test:
@@ -77,6 +77,13 @@ bench-serving:
 TRACE ?= 0
 bench-decide:
 	$(PYTHON) benchmarks/perf/run.py --workload decide --seed 0 --seconds 12 --trace $(TRACE)
+
+## One 12 s run of the perf benchmark's `serve-static` workload: the
+## engine data plane alone (event loop, buffer, pool, billing) at a static
+## config, the inner loop for buffer and engine perf work.
+## `make bench-static TRACE=1` adds the per-layer metrics.
+bench-static:
+	$(PYTHON) benchmarks/perf/run.py --workload serve-static --seed 0 --seconds 12 --trace $(TRACE)
 
 ## One 12 s run of the perf benchmark's `fleet-outage` workload: eight
 ## lanes on one event heap under outages, crashes, hedging, failover and

@@ -13,7 +13,8 @@ arrivals (60k Poisson arrivals through a finite keep-alive pool):
   path fell off the fast drive loop.
 * **Outage** — a run passing disabled outage/degradation configs vs one
   passing none. Acceptance bar: bit-identical outputs and **≤ 10%
-  overhead** — the defaults-off fault layer must stay free.
+  overhead**, the median of per-pair time ratios over nine interleaved
+  pairs — the defaults-off fault layer must stay free.
 
 Run via ``make bench-serving`` (or ``make bench-perf`` for every floor);
 each test prints its measurements as one JSON line. Performance claims
@@ -47,32 +48,46 @@ def _reference_trace(n: int = 60_000, rate: float = 2000.0,
     return np.cumsum(rng.exponential(1.0 / rate, size=n))
 
 
-def _best_of_pair(before_fn, after_fn, repeats: int = 3):
-    """Best wall-clock for each side over interleaved runs.
+def _timed_pairs(before_fn, after_fn, pairs: int):
+    """Wall-clock of each side over ``pairs`` interleaved pairs.
 
-    Interleaving (before, after, before, after, …) and collecting garbage
-    outside the timed region keeps both sides exposed to the same ambient
-    noise — this file runs after other benchmarks inside one pytest
-    process, so allocator and GC state are anything but pristine.
+    Each pair runs both sides back to back, alternating which goes first,
+    and collects garbage outside the timed region, so both sides are
+    exposed to the same ambient noise — this file runs after other
+    benchmarks inside one pytest process, so allocator and GC state are
+    anything but pristine. Returns ``(before_seconds, after_seconds,
+    before_result, after_result)``: the per-pair times, index-aligned,
+    and each side's last result.
     """
-    best = {"before": (float("inf"), None), "after": (float("inf"), None)}
+    seconds = {"before": [], "after": []}
+    results = {}
+    order = (("before", before_fn), ("after", after_fn))
+    for _side, fn in order:
+        fn()  # warm-up: the first run pays lazy set-up for both sides
     was_enabled = gc.isenabled()
     try:
-        for _ in range(repeats):
-            for side, fn in (("before", before_fn), ("after", after_fn)):
+        for k in range(pairs):
+            for side, fn in order[::-1] if k % 2 else order:
                 gc.collect()
                 gc.disable()
                 t0 = time.perf_counter()
-                result = fn()
-                elapsed = time.perf_counter() - t0
+                results[side] = fn()
+                seconds[side].append(time.perf_counter() - t0)
                 if was_enabled:
                     gc.enable()
-                if elapsed < best[side][0]:
-                    best[side] = (elapsed, result)
     finally:
         if was_enabled:
             gc.enable()
-    return best["before"], best["after"]
+    return (seconds["before"], seconds["after"],
+            results["before"], results["after"])
+
+
+def _best_of_pair(before_fn, after_fn, repeats: int = 3):
+    """Best wall-clock for each side over interleaved runs, with the
+    side's result: ``(before_s, before), (after_s, after)``."""
+    before_s, after_s, before, after = _timed_pairs(before_fn, after_fn,
+                                                    repeats)
+    return (min(before_s), before), (min(after_s), after)
 
 
 def test_prewarm_overhead_bounded():
@@ -187,11 +202,18 @@ def test_outage_disabled_overhead_bounded():
             pool=REFERENCE_POOL, outages=outages, degrade=degrade,
         ).run(ts)
 
-    (off_s, off), (disabled_s, disabled) = _best_of_pair(
+    # The judged overhead is the median of per-pair ratios: a pair's two
+    # runs share the host's state of the moment, so a slow spell moves
+    # both sides of a pair, not one side's best-of.
+    off_runs, disabled_runs, off, disabled = _timed_pairs(
         lambda: run(None, None),
         lambda: run(OutageModel(), DegradeConfig()),
+        pairs=9,
     )
     assert_serving_logs_equal(off, disabled)
+    ratios = [d / o for o, d in zip(off_runs, disabled_runs)]
+    off_s = float(np.median(off_runs))
+    disabled_s = float(np.median(disabled_runs))
 
     horizon = float(ts[-1])
     enabled = OutageModel(
@@ -209,12 +231,14 @@ def test_outage_disabled_overhead_bounded():
     full = run(enabled, stack)
     enabled_s = time.perf_counter() - t0
 
-    overhead = disabled_s / off_s - 1.0
+    overhead = float(np.median(ratios)) - 1.0
     payload = {
         "n_requests": int(ts.size),
-        "off_seconds": round(off_s, 4),
-        "disabled_seconds": round(disabled_s, 4),
+        "pairs": len(ratios),
+        "off_seconds_median": round(off_s, 4),
+        "disabled_seconds_median": round(disabled_s, 4),
         "disabled_overhead_pct": round(100.0 * overhead, 1),
+        "pair_overhead_pct": [round(100.0 * (r - 1.0), 1) for r in ratios],
         "requests_per_sec_off": round(ts.size / off_s),
         "requests_per_sec_disabled": round(ts.size / disabled_s),
         "enabled_seconds": round(enabled_s, 4),

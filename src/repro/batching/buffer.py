@@ -9,40 +9,30 @@ same policy, and tests cross-check them against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.batching.config import BatchConfig
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A dispatched batch: request indices, their arrival times, dispatch.
+class Batch(NamedTuple):
+    """A dispatched batch: requests ``[first_index, first_index + size)``,
+    their dispatch time, and their arrival times as the plain float list
+    the buffer held (no array is built per batch).
 
-    ``indices`` is always a contiguous ascending run: the buffer numbers
-    arrivals sequentially and only ever dispatches a prefix of its pending
-    list. Consumers may rely on this — the serving engine assigns
-    per-request results with ``[first_index : first_index + size]`` slices
-    instead of fancy indexing.
+    A batch is always such a range: the buffer numbers arrivals
+    sequentially and only ever dispatches a prefix of its pending list.
+    The serving engine relies on this, assigning per-request results by
+    slice and reading the arrival times from its own trace at that slice.
     """
 
-    indices: np.ndarray
-    arrival_times: np.ndarray
+    first_index: int
+    size: int
     dispatch_time: float
-
-    @property
-    def size(self) -> int:
-        return self.indices.size
-
-    @property
-    def first_index(self) -> int:
-        """First request index of the (contiguous) batch."""
-        return int(self.indices[0])
-
-    def waits(self) -> np.ndarray:
-        """Buffer wait of each request in the batch."""
-        return self.dispatch_time - self.arrival_times
+    arrival_times: Sequence[float]
 
 
 class BatchingBuffer:
@@ -51,11 +41,13 @@ class BatchingBuffer:
     Usage: feed arrivals with :meth:`observe` (monotone non-decreasing
     times); call :meth:`poll` to collect batches that became due by ``now``;
     call :meth:`flush` at stream end.
+
+    Pending requests are the index range ending before ``_next_index``,
+    so the first one is ``_next_index - len(_pending_times)``.
     """
 
     def __init__(self, config: BatchConfig) -> None:
         self.config = config
-        self._pending_idx: list[int] = []
         self._pending_times: list[float] = []
         self._next_index = 0
         self._dispatched: list[Batch] = []
@@ -78,13 +70,13 @@ class BatchingBuffer:
         if now is None:
             return []
         out = self.poll(now)
-        while len(self._pending_idx) >= self.config.batch_size:
-            out.append(self._dispatch(now))
+        while len(self._pending_times) >= config.batch_size:
+            out.append(self._dispatch(now, config.batch_size))
         return out
 
     @property
     def pending(self) -> int:
-        return len(self._pending_idx)
+        return len(self._pending_times)
 
     def next_deadline(self) -> float | None:
         """When the oldest pending request times out (``None`` if empty)."""
@@ -97,35 +89,42 @@ class BatchingBuffer:
         """Register arrivals in order; returns any batches dispatched up to
         the last one. One call with several arrivals does exactly what one
         call per arrival does; the serving engine passes a run of arrivals
-        of which only the last can close a batch."""
+        of which only the last can close a batch. A backwards arrival
+        raises, leaving the buffer as if the call had ended before it."""
         out = []
-        idx, times = self._pending_idx, self._pending_times
+        times = self._pending_times
+        batch_size = self.config.batch_size
+        timeout = self.config.timeout
+        last = self._last_time
         for t in arrival_times:
-            if t < self._last_time:
+            if t < last:
+                self._last_time = last
                 raise ValueError(
-                    f"arrival times must be non-decreasing: {t} < {self._last_time}"
+                    f"arrival times must be non-decreasing: {t} < {last}"
                 )
-            self._last_time = t
+            last = t
             # Append before polling so an arrival landing exactly on a
             # pending batch's deadline joins that batch (matching the
             # simulator's closed-interval deadline semantics).
-            idx.append(self._next_index)
             times.append(t)
             self._next_index += 1
-            if t >= times[0] + self.config.timeout:
+            if t >= times[0] + timeout:
                 out += self.poll(t)
-            if len(idx) >= self.config.batch_size:
-                out.append(self._dispatch(t))
+            if len(times) >= batch_size:
+                out.append(self._dispatch(t, batch_size))
+        self._last_time = last
         return out
 
     def poll(self, now: float) -> list[Batch]:
         """Dispatch batches whose timeout expired by ``now``."""
         out = []
-        while self._pending_times and now >= self._pending_times[0] + self.config.timeout:
-            due = self._pending_times[0] + self.config.timeout
-            # Only requests that had arrived by the deadline belong to it.
-            k = sum(1 for t in self._pending_times if t <= due)
-            out.append(self._dispatch(due, count=min(k, self.config.batch_size)))
+        times = self._pending_times
+        while times and now >= times[0] + self.config.timeout:
+            due = times[0] + self.config.timeout
+            # Only requests that had arrived by the deadline belong to it
+            # (a prefix: pending times never decrease).
+            k = bisect_right(times, due)
+            out.append(self._dispatch(due, min(k, self.config.batch_size)))
         return out
 
     def flush(self, now: float | None = None) -> list[Batch]:
@@ -144,8 +143,8 @@ class BatchingBuffer:
         * no batch ever dispatches before its own newest member arrived.
         """
         out = []
-        while self._pending_idx:
-            count = min(len(self._pending_idx), self.config.batch_size)
+        while self._pending_times:
+            count = min(len(self._pending_times), self.config.batch_size)
             newest = self._pending_times[count - 1]
             if count == self.config.batch_size:
                 due = newest
@@ -153,19 +152,15 @@ class BatchingBuffer:
                 due = self._pending_times[0] + self.config.timeout
                 if now is not None:
                     due = min(due, now)
-            out.append(self._dispatch(max(due, newest), count=count))
+            out.append(self._dispatch(max(due, newest), count))
         return out
 
-    def _dispatch(self, dispatch_time: float, count: int | None = None) -> Batch:
-        count = len(self._pending_idx) if count is None else count
-        count = min(count, self.config.batch_size, len(self._pending_idx))
-        batch = Batch(
-            indices=np.array(self._pending_idx[:count], dtype=int),
-            arrival_times=np.array(self._pending_times[:count], dtype=float),
-            dispatch_time=float(dispatch_time),
-        )
-        del self._pending_idx[:count]
-        del self._pending_times[:count]
+    def _dispatch(self, dispatch_time: float, count: int) -> Batch:
+        """Release the first ``count`` (≤ pending) requests as one batch."""
+        times = self._pending_times
+        batch = Batch(self._next_index - len(times), count,
+                      float(dispatch_time), times[:count])
+        del times[:count]
         self._dispatched.append(batch)
         return batch
 
@@ -180,5 +175,6 @@ class BatchingBuffer:
         registry.histogram("buffer.batch_size").observe_many(sizes)
         registry.histogram("buffer.wait").observe_many(
             np.repeat([batch.dispatch_time for batch in batches], sizes)
-            - np.concatenate([batch.arrival_times for batch in batches])
+            - np.fromiter(chain.from_iterable(
+                batch.arrival_times for batch in batches), float)
         )

@@ -1030,7 +1030,7 @@ class ServingEngine:
                 st.counters["n_retries"] += retries
             i0 = batch.first_index
             stop = i0 + size
-            st.latencies[i0:stop] = completion - batch.arrival_times
+            st.latencies[i0:stop] = completion - st.ts[i0:stop]
             if batch_failed:
                 st.failed[i0:stop] = True
             if primary:
@@ -1141,7 +1141,7 @@ class ServingEngine:
         if dup_completion < completion:
             # The duplicate wins: overwrite the primary's latencies (and
             # clear any fault verdict — the winning attempt is clean).
-            st.latencies[i0:stop] = dup_completion - batch.arrival_times
+            st.latencies[i0:stop] = dup_completion - st.ts[i0:stop]
             st.failed[i0:stop] = False
             st.counters["hedge_wins"] += 1
         # Size-0 completion payload: release the duplicate's container at
@@ -1187,10 +1187,9 @@ class ServingEngine:
         st.batches.append(batch.dispatch_time, start, size, cost, cold,
                           memory_mb, 0, cold_delay, ttft + decode)
         first_token = start + cold_delay + ttft
-        st.ttft[i0:stop] = first_token - batch.arrival_times
-        st.latencies[i0:stop] = (
-            first_token + (out - 1) * tpot - batch.arrival_times
-        )
+        arrivals = st.ts[i0:stop]
+        st.ttft[i0:stop] = first_token - arrivals
+        st.latencies[i0:stop] = first_token + (out - 1) * tpot - arrivals
         st.tpot[i0:stop] = np.where(out > 1, tpot, np.nan)
         st.counters["gen_prefill_iterations"] += 1
         st.counters["gen_decode_iterations"] += max_out - 1

@@ -50,8 +50,9 @@ class TestOnlineBuffer:
             batches.extend(buf.observe(t))
         batches.extend(buf.flush())
         for b in batches:
-            assert np.all(b.waits() <= 0.05 + 1e-12)
-            assert np.all(b.waits() >= -1e-12)
+            waits = b.dispatch_time - np.asarray(b.arrival_times)
+            assert np.all(waits <= 0.05 + 1e-12)
+            assert np.all(waits >= -1e-12)
 
     def test_rejects_time_travel(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 2, 1.0))
@@ -80,17 +81,21 @@ class TestOnlineBuffer:
         all_batches = []
         for t in [0.0, 0.1, 0.2, 0.3]:
             all_batches.extend(buf.observe(t))
-        idx = np.concatenate([b.indices for b in all_batches])
-        np.testing.assert_allclose(idx, [0, 1, 2, 3])
+        idx = [i for b in all_batches for i in indices(b)]
+        assert idx == [0, 1, 2, 3]
+
+
+def indices(batch):
+    return list(range(batch.first_index, batch.first_index + batch.size))
 
 
 def as_tuples(batches):
-    return [(b.indices.tolist(), b.arrival_times.tolist(), b.dispatch_time)
+    return [(indices(b), list(b.arrival_times), b.dispatch_time)
             for b in batches]
 
 
 def state(buf):
-    return buf._pending_idx, buf._pending_times, buf._next_index
+    return buf._pending_times, buf._next_index
 
 
 def engine_cut(ts, ptr, buf, other):
@@ -174,6 +179,66 @@ class TestObserveRuns:
             buf.observe(0.0, 0.5, 0.25)
         with pytest.raises(ValueError, match="0.125 < 0.5"):
             buf.observe(0.125)
+
+
+class TestBatchesAreRanges:
+    """A batch is an index range, a dispatch time and the members' arrival
+    times as plain floats: no dispatch path builds an array per batch."""
+
+    @staticmethod
+    def assert_plain(batch):
+        assert type(batch.first_index) is int and type(batch.size) is int
+        assert type(batch.dispatch_time) is float
+        assert not isinstance(batch.arrival_times, np.ndarray)
+        assert len(batch.arrival_times) == batch.size
+        assert all(isinstance(t, float) and not isinstance(t, np.generic)
+                   for t in batch.arrival_times)
+
+    def test_every_dispatch_path(self):
+        buf = BatchingBuffer(BatchConfig(1024.0, 3, 0.5))
+        made = {"observe": buf.observe(0.0, 0.1, 0.2)}
+        buf.observe(1.0)
+        made["poll"] = buf.poll(2.0)
+        buf.observe(3.0, 3.1)
+        made["reconfigure"] = buf.reconfigure(BatchConfig(1024.0, 1, 0.5),
+                                              now=3.2)
+        buf.reconfigure(BatchConfig(1024.0, 4, 0.5))
+        buf.observe(4.0, 4.1)
+        made["flush"] = buf.flush()
+        assert {path: [(b.first_index, b.size) for b in out]
+                for path, out in made.items()} == {
+            "observe": [(0, 3)], "poll": [(3, 1)],
+            "reconfigure": [(4, 1), (5, 1)], "flush": [(6, 2)],
+        }
+        for out in made.values():
+            for batch in out:
+                self.assert_plain(batch)
+
+    @given(grid_arrivals, grid_configs, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_backwards_arrival_keeps_the_prefix(self, ts, config, data):
+        # A run that goes backwards raises at its bad arrival and leaves
+        # the buffer where one-at-a-time observation of the arrivals
+        # before it leaves it; both then go on alike.
+        start = data.draw(st.integers(0, len(ts) - 1))
+        cut = data.draw(st.integers(start + 1, len(ts)))
+        runs, single = BatchingBuffer(config), BatchingBuffer(config)
+        for t in ts[:start]:
+            runs.observe(t)
+            single.observe(t)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            runs.observe(*ts[start:cut], ts[cut - 1] - 0.125, *ts[cut:])
+        for t in ts[start:cut]:
+            single.observe(t)
+        assert runs.pending == single.pending
+        assert runs._next_index == single._next_index
+        assert runs.next_deadline() == single.next_deadline()
+        assert as_tuples(runs._dispatched) == as_tuples(single._dispatched)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            runs.observe(ts[cut - 1] - 0.125)
+        assert as_tuples(runs.observe(*ts[cut:])) == as_tuples(
+            [b for t in ts[cut:] for b in single.observe(t)])
+        assert as_tuples(runs.flush()) == as_tuples(single.flush())
 
 
 class TestBufferMatchesSimulator:
@@ -278,7 +343,8 @@ class TestFlushRegression:
 
     def test_nonpositive_waits_never_happen(self):
         for b in self._loaded_buffer().flush():
-            assert np.all(b.waits() >= -1e-12)
+            waits = b.dispatch_time - np.asarray(b.arrival_times)
+            assert np.all(waits >= -1e-12)
 
 
 class TestMidStreamReconfigure:

@@ -109,6 +109,7 @@ class TestKillRestoreEquivalence:
         assert baseline.n_events > 900
         # Three distinct boundaries: right after the initial snapshot, deep
         # mid-run between snapshots, and near the end of the run.
+        held = []
         for crash_at in (3, baseline.n_events // 2, baseline.n_events - 5):
             ck = tmp_path / f"faults{faults}-crash{crash_at}.ckpt"
             with pytest.raises(SimulatedCrash):
@@ -116,8 +117,16 @@ class TestKillRestoreEquivalence:
                     ts, record_trace=True, checkpoint_path=ck,
                     checkpoint_every=64, crash_after_events=crash_at,
                 )
+            st = read_snapshot(ck)["state"]
+            busy = (st.pool.live_containers(st.clock)
+                    - st.pool.warm_containers(st.clock))
+            held.append((len(st.queue), busy))
             resumed = build_engine(faults=faults).restore(ck)
             assert_serving_logs_equal(baseline, resumed)
+        # Some restore starts from dispatched batches in the snapshot, both
+        # queued (pickled ``Batch`` records) and in flight (busy containers
+        # with their completions on the heap).
+        assert any(queued and busy for queued, busy in held), held
 
     def test_restore_of_a_restored_run(self, tmp_path):
         # The resumed leg checkpoints too, so it can be killed again.
