@@ -8,13 +8,12 @@ from repro.arrival.map_process import (
     hyperexp_map,
     poisson_map,
 )
-from repro.arrival.io import export_csv, import_csv, load_trace, save_trace
-from repro.arrival.mmpp import mmpp2, mmpp2_mean_rate, mmpp2_with_burstiness, on_off
-from repro.arrival.nhpp import diurnal_rate, sample_nhpp, superpose, thin
+from repro.arrival.io import export_csv, load_trace, save_trace
+from repro.arrival.mmpp import mmpp2, mmpp2_with_burstiness
+from repro.arrival.nhpp import diurnal_rate, sample_nhpp, thin
 from repro.arrival.stats import (
     autocorrelation,
     binned_rate,
-    counts_idc,
     idc,
     interarrivals,
     mean_rate,
@@ -39,13 +38,11 @@ __all__ = [
     "autocorrelation",
     "azure_like",
     "binned_rate",
-    "counts_idc",
     "diurnal_rate",
     "empirical_targets",
     "erlang_map",
     "export_csv",
     "fit_map",
-    "import_csv",
     "load_trace",
     "hyperexp_map",
     "idc",
@@ -54,16 +51,13 @@ __all__ = [
     "map_synthetic",
     "mean_rate",
     "mmpp2",
-    "mmpp2_mean_rate",
     "mmpp2_with_burstiness",
-    "on_off",
     "poisson_map",
     "sample_nhpp",
     "sample_windows",
     "save_trace",
     "scv",
     "sliding_windows",
-    "superpose",
     "thin",
     "twitter_like",
 ]

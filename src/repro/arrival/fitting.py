@@ -27,7 +27,6 @@ import numpy as np
 from scipy import optimize
 
 from repro.arrival.map_process import MAP, erlang_map, hyperexp_map, poisson_map
-from repro.arrival.mmpp import mmpp2
 from repro.arrival.stats import autocorrelation, scv
 
 

@@ -1,11 +1,8 @@
 """Trace persistence: save/load :class:`repro.arrival.traces.Trace` objects.
 
-Two formats:
-
-* ``.npz`` — lossless, fast, the library's native round-trip format;
-* ``.csv`` — one timestamp per line (plus a small header), for exchanging
-  traces with external tools or loading real trace excerpts prepared
-  elsewhere.
+``.npz`` is the library's native, lossless round-trip format.
+:func:`export_csv` also writes a trace as text, one timestamp per line
+after a small header, for external tools; CSV is export-only.
 """
 
 from __future__ import annotations
@@ -50,44 +47,3 @@ def export_csv(trace: Trace, path: str | os.PathLike) -> None:
         fh.write(f"# {trace.name},{trace.segment_duration},{trace.n_segments}\n")
         for t in trace.timestamps:
             fh.write(f"{t:.9f}\n")
-
-
-def import_csv(
-    path: str | os.PathLike,
-    name: str | None = None,
-    segment_duration: float | None = None,
-    n_segments: int | None = None,
-) -> Trace:
-    """Read a CSV trace; header values can be overridden by the arguments.
-
-    Files without the ``#`` header need ``segment_duration`` and
-    ``n_segments`` passed explicitly.
-    """
-    path = Path(path)
-    header_name, header_sd, header_ns = None, None, None
-    with path.open() as fh:
-        first = fh.readline().strip()
-        body_start = 0
-        if first.startswith("#"):
-            parts = first.lstrip("# ").split(",")
-            if len(parts) != 3:
-                raise ValueError(f"malformed trace header: {first!r}")
-            header_name, header_sd, header_ns = parts[0], float(parts[1]), int(parts[2])
-        else:
-            body_start = None  # first line is data
-        rest = fh.read().splitlines()
-    lines = ([first] if body_start is None else []) + rest
-    timestamps = np.array([float(x) for x in lines if x.strip()])
-
-    sd = segment_duration if segment_duration is not None else header_sd
-    ns = n_segments if n_segments is not None else header_ns
-    if sd is None or ns is None:
-        raise ValueError(
-            "segment_duration and n_segments required (no header in file)"
-        )
-    return Trace(
-        name=name if name is not None else (header_name or path.stem),
-        timestamps=np.sort(timestamps),
-        segment_duration=sd,
-        n_segments=ns,
-    )

@@ -2,9 +2,9 @@
 building block used by the synthetic traces (§IV-A) and the BATCH fitter.
 
 An MMPP(2) is a MAP whose arrivals are Poisson with a rate that switches
-between two levels according to a background 2-state CTMC. The *on-off*
-special case (one level near zero) produces the sharp burst/silence pattern
-of the Alibaba-like and MAP-generated traces.
+between two levels according to a background 2-state CTMC. A low level
+near zero produces the sharp burst/silence pattern of the Alibaba-like and
+MAP-generated traces.
 """
 
 from __future__ import annotations
@@ -33,32 +33,6 @@ def mmpp2(rate1: float, rate2: float, switch12: float, switch21: float) -> MAP:
     )
     d1 = np.diag([rate1, rate2])
     return MAP(d0, d1)
-
-
-def on_off(peak_rate: float, mean_on: float, mean_off: float,
-           off_rate_fraction: float = 0.01) -> MAP:
-    """On-off MMPP(2): bursts at ``peak_rate`` for an exponential ``mean_on``
-    period, then near-silence (``off_rate_fraction`` of the peak) for
-    ``mean_off``. Captures the on-off traffic the paper highlights for
-    serverless environments."""
-    if peak_rate <= 0:
-        raise ValueError(f"peak_rate must be > 0, got {peak_rate}")
-    if mean_on <= 0 or mean_off <= 0:
-        raise ValueError("mean_on and mean_off must be > 0")
-    if not 0.0 <= off_rate_fraction < 1.0:
-        raise ValueError(f"off_rate_fraction must be in [0, 1), got {off_rate_fraction}")
-    return mmpp2(
-        rate1=peak_rate,
-        rate2=peak_rate * off_rate_fraction,
-        switch12=1.0 / mean_on,
-        switch21=1.0 / mean_off,
-    )
-
-
-def mmpp2_mean_rate(rate1: float, rate2: float, switch12: float, switch21: float) -> float:
-    """Closed-form long-run arrival rate of :func:`mmpp2`."""
-    p1 = switch21 / (switch12 + switch21)
-    return p1 * rate1 + (1.0 - p1) * rate2
 
 
 def mmpp2_with_burstiness(

@@ -2,8 +2,8 @@
 
 Real serverless workloads modulate a base process with slow rate profiles
 (diurnal cycles, deploy events). The NHPP sampler uses thinning (Lewis &
-Shedler) against an arbitrary rate function; :func:`superpose` merges
-independent streams (multi-tenant aggregation) and :func:`thin` splits one.
+Shedler) against an arbitrary rate function; :func:`thin` keeps a random
+share of one stream.
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ def diurnal_rate(
         return base_rate * (1.0 + amplitude * np.sin(2 * np.pi * (np.asarray(t) / period) + phase))
 
     return rate
-
-
-def superpose(*streams: np.ndarray) -> np.ndarray:
-    """Merge independent arrival streams (multi-tenant aggregation)."""
-    if not streams:
-        raise ValueError("superpose requires at least one stream")
-    return np.sort(np.concatenate([np.asarray(s, dtype=float) for s in streams]))
 
 
 def thin(

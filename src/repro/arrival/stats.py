@@ -105,25 +105,3 @@ def idc(x: np.ndarray, max_lag: int | None = None, cutoff: float = 0.01) -> floa
         rho = rho[: below[0]]
     return float(scv(x) * (1.0 + 2.0 * rho.sum()))
 
-
-def counts_idc(timestamps: np.ndarray, window: float) -> float:
-    """Index of dispersion for *counts*: Var(N(window)) / E[N(window)].
-
-    1 for Poisson; ≫1 for bursty streams. Complements :func:`idc` as an
-    alternative estimator used in cross-checks/tests.
-    """
-    if window <= 0:
-        raise ValueError(f"window must be > 0, got {window}")
-    timestamps = np.asarray(timestamps, dtype=float)
-    if timestamps.size == 0:
-        return 1.0
-    span = timestamps[-1] - timestamps[0]
-    n_windows = int(span / window)
-    if n_windows < 2:
-        return 1.0
-    edges = timestamps[0] + window * np.arange(n_windows + 1)
-    counts, _ = np.histogram(timestamps, bins=edges)
-    mean = counts.mean()
-    if mean == 0:
-        return 1.0
-    return float(counts.var() / mean)

@@ -7,11 +7,9 @@ from repro.baseline.analytic import (
     weighted_percentiles,
 )
 from repro.baseline.controller import BATCHController, BatchDecision
-from repro.baseline.reactive import ReactiveController, ReactiveDecision
 from repro.baseline.uniformization import (
     TransientKernel,
     expanded_generator,
-    time_to_level_cdf,
     transient_kernels,
 )
 
@@ -20,11 +18,8 @@ __all__ = [
     "BATCHController",
     "BatchAnalyticModel",
     "BatchDecision",
-    "ReactiveController",
-    "ReactiveDecision",
     "TransientKernel",
     "expanded_generator",
-    "time_to_level_cdf",
     "transient_kernels",
     "weighted_percentiles",
 ]

@@ -26,7 +26,7 @@ documented expense; the prediction-time benchmark (§IV-F) measures it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

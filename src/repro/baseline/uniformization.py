@@ -103,25 +103,3 @@ def transient_kernels(map_: MAP, levels: int, horizon: float, n_steps: int) -> T
         kernels[k] = kernels[k - 1] @ step
     return TransientKernel(map_=map_, levels=levels, h=h, kernels=kernels)
 
-
-def time_to_level_cdf(map_: MAP, target_arrivals: int, t_grid: np.ndarray,
-                      initial_phase: np.ndarray | None = None) -> np.ndarray:
-    """CDF of the time until the ``target_arrivals``-th arrival of the MAP.
-
-    This is the phase-type first-passage distribution through
-    ``target_arrivals`` levels, evaluated on ``t_grid`` — used in tests to
-    validate the expanded chain against Erlang/closed-form cases.
-    """
-    if target_arrivals < 1:
-        raise ValueError("target_arrivals must be >= 1")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
-        raise ValueError("t_grid must be non-negative")
-    pi = map_.arrival_phase_distribution() if initial_phase is None else np.asarray(initial_phase)
-    q = expanded_generator(map_, target_arrivals)
-    init = np.zeros(q.shape[0])
-    init[: map_.order] = pi
-    out = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        out[i] = 1.0 - (init @ expm(q * t)).sum()
-    return np.clip(out, 0.0, 1.0)

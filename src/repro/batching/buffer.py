@@ -5,12 +5,17 @@ limit ``B`` is reached or the oldest waiting request has been held for the
 timeout ``T``. This is the *live* (request-at-a-time) counterpart of the
 vectorized simulator in :mod:`repro.batching.simulator`; both implement the
 same policy, and tests cross-check them against each other.
+
+A dispatched :class:`Batch` is an index range and a dispatch time: the
+buffer numbers arrivals in order and only ever dispatches a prefix of its
+pending requests, so the caller's own arrival times say who is in it. After
+every public call fewer than ``B`` requests are pending; ``poll(math.inf)``
+drains them at the end of a stream, each batch at its own deadline.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,9 +24,8 @@ from repro.batching.config import BatchConfig
 
 
 class Batch(NamedTuple):
-    """A dispatched batch: requests ``[first_index, first_index + size)``,
-    their dispatch time, and their arrival times as the plain float list
-    the buffer held (no array is built per batch).
+    """A dispatched batch: requests ``[first_index, first_index + size)``
+    and the moment they left the buffer.
 
     A batch is always such a range: the buffer numbers arrivals
     sequentially and only ever dispatches a prefix of its pending list.
@@ -32,43 +36,41 @@ class Batch(NamedTuple):
     first_index: int
     size: int
     dispatch_time: float
-    arrival_times: Sequence[float]
 
 
 class BatchingBuffer:
     """Online buffer driven by ``observe``/``poll`` calls.
 
     Usage: feed arrivals with :meth:`observe` (monotone non-decreasing
-    times); call :meth:`poll` to collect batches that became due by ``now``;
-    call :meth:`flush` at stream end.
+    times); call :meth:`poll` to collect batches that became due by ``now``
+    (``poll(math.inf)`` at stream end).
 
     Pending requests are the index range ending before ``_next_index``,
-    so the first one is ``_next_index - len(_pending_times)``.
+    so the first one is ``_next_index - len(_pending_times)``. Of the
+    dispatched batches only each one's dispatch time and size are kept,
+    for :meth:`publish`.
     """
 
     def __init__(self, config: BatchConfig) -> None:
         self.config = config
         self._pending_times: list[float] = []
         self._next_index = 0
-        self._dispatched: list[Batch] = []
+        self._dispatch_times: list[float] = []
+        self._sizes: list[int] = []
         self._last_time = -np.inf
 
     # ------------------------------------------------------------- plumbing
-    def reconfigure(self, config: BatchConfig, now: float | None = None) -> list[Batch]:
+    def reconfigure(self, config: BatchConfig, now: float) -> list[Batch]:
         """Switch (M, B, T) online — the controller's step ③ in Fig. 2.
 
-        With ``now`` given, batches that are due *under the new parameters*
-        dispatch immediately and are returned: shrinking ``B`` below the
-        pending count releases full batches of the new size (stamped
-        ``now`` — they leave the moment the reconfiguration lands), and
-        shortening ``T`` past an already-elapsed wait fires the timeout
-        (stamped at the new deadline, capped below by no request's own
-        arrival). Without ``now`` (the historical signature) pending
-        requests stay buffered and are judged at the next poll.
+        Batches that are due *under the new parameters* dispatch
+        immediately and are returned: shrinking ``B`` below the pending
+        count releases full batches of the new size (stamped ``now`` —
+        they leave the moment the reconfiguration lands), and shortening
+        ``T`` past an already-elapsed wait fires the timeout (stamped at
+        the new deadline, capped below by no request's own arrival).
         """
         self.config = config
-        if now is None:
-            return []
         out = self.poll(now)
         while len(self._pending_times) >= config.batch_size:
             out.append(self._dispatch(now, config.batch_size))
@@ -127,54 +129,28 @@ class BatchingBuffer:
             out.append(self._dispatch(due, min(k, self.config.batch_size)))
         return out
 
-    def flush(self, now: float | None = None) -> list[Batch]:
-        """Dispatch all remaining requests (stream end).
-
-        Each drained batch is stamped with *its own* dispatch time, never
-        the whole buffer's newest arrival:
-
-        * a full batch (only possible after a ``reconfigure`` to a smaller
-          ``B``) dispatches the moment its B-th member arrived — it would
-          have left the buffer then;
-        * a partial batch dispatches at its first member's deadline
-          (``first + timeout``), matching the vectorized simulator's
-          end-of-stream behaviour; passing ``now`` force-flushes earlier,
-          capping the dispatch at ``now``;
-        * no batch ever dispatches before its own newest member arrived.
-        """
-        out = []
-        while self._pending_times:
-            count = min(len(self._pending_times), self.config.batch_size)
-            newest = self._pending_times[count - 1]
-            if count == self.config.batch_size:
-                due = newest
-            else:
-                due = self._pending_times[0] + self.config.timeout
-                if now is not None:
-                    due = min(due, now)
-            out.append(self._dispatch(max(due, newest), count))
-        return out
-
     def _dispatch(self, dispatch_time: float, count: int) -> Batch:
         """Release the first ``count`` (≤ pending) requests as one batch."""
         times = self._pending_times
-        batch = Batch(self._next_index - len(times), count,
-                      float(dispatch_time), times[:count])
+        first = self._next_index - len(times)
         del times[:count]
-        self._dispatched.append(batch)
-        return batch
+        dispatch_time = float(dispatch_time)
+        self._dispatch_times.append(dispatch_time)
+        self._sizes.append(count)
+        return Batch(first, count, dispatch_time)
 
-    def publish(self, registry) -> None:
+    def publish(self, registry, arrival_times: Sequence[float]) -> None:
         """Add every batch dispatched so far to the ``buffer.batch_size``
-        and ``buffer.wait`` histograms. Call it once, when the stream is
-        done: the batches are kept, not drained."""
-        batches = self._dispatched
-        if not batches:
+        and ``buffer.wait`` histograms; ``arrival_times`` are the observed
+        arrivals, indexed as the batches number them. Call it once, when
+        the stream is done: the record is kept, not drained."""
+        sizes = self._sizes
+        if not sizes:
             return
-        sizes = [batch.size for batch in batches]
         registry.histogram("buffer.batch_size").observe_many(sizes)
+        # Batches are consecutive prefixes: the k-th dispatched request is
+        # arrival k.
         registry.histogram("buffer.wait").observe_many(
-            np.repeat([batch.dispatch_time for batch in batches], sizes)
-            - np.fromiter(chain.from_iterable(
-                batch.arrival_times for batch in batches), float)
+            np.repeat(self._dispatch_times, sizes)
+            - np.asarray(arrival_times[:sum(sizes)], dtype=float)
         )

@@ -14,7 +14,7 @@ ground-truth simulator, and that decomposed exhaustive optimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np

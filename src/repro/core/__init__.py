@@ -15,7 +15,6 @@ from repro.core.drift import (
 from repro.core.dataset import (
     SurrogateDataset,
     generate_dataset,
-    generate_generation_dataset,
     label_window,
     label_windows,
 )
@@ -26,7 +25,6 @@ from repro.core.features import (
     TargetSpec,
 )
 from repro.core.optimizer import OptimizationResult, SloAwareOptimizer
-from repro.core.parser import WorkloadParser
 from repro.core.surrogate import DeepBATSurrogate
 from repro.core.types import Decision
 from repro.core.training import (
@@ -59,12 +57,10 @@ __all__ = [
     "TrainedSurrogate",
     "TrainingHistory",
     "WorkloadDriftDetector",
-    "WorkloadParser",
     "compute_gamma",
     "estimate_gamma",
     "fine_tune",
     "generate_dataset",
-    "generate_generation_dataset",
     "label_window",
     "label_windows",
     "load_trained",

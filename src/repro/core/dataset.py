@@ -13,20 +13,12 @@ Determinism is preserved under parallelism: each sample's cold-start
 randomness derives from a per-sample :class:`numpy.random.SeedSequence`
 child keyed by the sample index, never from the platform's shared mutable
 generator, so serial and parallel labeling are bit-identical.
-
-:func:`generate_generation_dataset` is the token-streaming variant: the
-label simulation is the serving engine in buffer-generation mode, the
-configuration features grow two output-token columns (the window's mean
-prompt and output lengths, sampled by the per-sample length model), and
-the latency block holds **TTFT** percentiles instead of end-to-end
-latency — the quantity generation SLOs are written against. Training on
-it requires a surrogate built with ``n_features=5``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,122 +167,6 @@ def label_windows(
         registry.counter("dataset.labels").inc(n)
         registry.gauge("dataset.workers").set(workers if workers else 1)
     return targets
-
-
-def _label_gen_chunk(
-    windows: np.ndarray,
-    configs: list[BatchConfig],
-    platform: ServerlessPlatform,
-    generation,
-    spec: TargetSpec,
-    entropy: int,
-    offset: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label a chunk of generation samples (in-process or in a worker).
-
-    Returns ``(token_features, targets)``: per-sample (mean prompt tokens,
-    mean output tokens) plus [cost per 1M, TTFT percentiles].
-    """
-    from repro.serving.engine import ServingEngine  # circular at module level
-
-    token_feats = np.empty((len(windows), 2))
-    targets = np.empty((len(windows), spec.n_outputs))
-    for i in range(len(windows)):
-        # The per-sample length-model seed is a stable function of
-        # (entropy, sample index) — labeling order and worker count
-        # cannot change any sample's token draw.
-        sample_seed = int(
-            np.random.SeedSequence(
-                entropy=entropy, spawn_key=(offset + i,)
-            ).generate_state(1)[0]
-        )
-        timestamps = np.concatenate([[0.0], np.cumsum(windows[i])])
-        engine = ServingEngine(
-            configs[i], platform=platform,
-            generation=replace(generation, seed=sample_seed),
-        )
-        log = engine.run(timestamps, name="label-gen")
-        token_feats[i] = (log.prompt_tokens.mean(), log.output_tokens.mean())
-        targets[i] = spec.pack(
-            log.cost_per_request, np.percentile(log.ttft, spec.percentiles)
-        )
-    return token_feats, targets
-
-
-def generate_generation_dataset(
-    interarrival_history: np.ndarray,
-    n_samples: int,
-    generation,
-    seq_len: int = 256,
-    configs: list[BatchConfig] | None = None,
-    platform: ServerlessPlatform | None = None,
-    spec: TargetSpec | None = None,
-    seed: int | None | np.random.Generator = None,
-    workers: int | None = None,
-) -> SurrogateDataset:
-    """Sample token-streaming training pairs labeled by the serving engine.
-
-    Like :func:`generate_dataset`, but each (window × config) pair is
-    served as a generation workload: ``generation`` is a
-    :class:`~repro.serving.config.GenerationConfig` whose length model
-    draws every request's (prompt, output) token counts with a per-sample
-    seed, and whose dispatcher/profile define the prefill/decode timing.
-    The resulting dataset has five feature columns —
-    ``(M, B, T, mean prompt tokens, mean output tokens)`` — and its
-    latency block holds **TTFT** percentiles, so train with
-    ``DeepBATSurrogate(n_features=5, ...)``.
-
-    Determinism matches the request-level path: per-sample seeding keys
-    every token draw to the sample index, so ``workers`` never changes the
-    dataset. (Pair it with a platform free of stochastic cold starts —
-    the default — since the engine draws those from the platform's shared
-    generator.)
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rng = as_rng(seed)
-    platform = platform if platform is not None else ServerlessPlatform()
-    spec = spec if spec is not None else TargetSpec()
-    configs = configs if configs is not None else config_grid()
-    if not configs:
-        raise ValueError("configs must be non-empty")
-
-    windows = sample_windows(interarrival_history, seq_len, n_samples, rng)
-    chosen = rng.integers(0, len(configs), size=n_samples)
-    sample_configs = [configs[i] for i in chosen]
-    entropy = int(rng.integers(0, 2**63))
-
-    registry = get_registry()
-    t0 = time.perf_counter()
-    if workers is not None and workers > 1 and n_samples > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, n_samples, min(workers, n_samples) + 1)
-        bounds = bounds.astype(int)
-        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                _label_gen_chunk,
-                [windows[lo:hi] for lo, hi in chunks],
-                [sample_configs[lo:hi] for lo, hi in chunks],
-                [platform] * len(chunks),
-                [generation] * len(chunks),
-                [spec] * len(chunks),
-                [entropy] * len(chunks),
-                [lo for lo, _ in chunks],
-            ))
-        token_feats = np.concatenate([p[0] for p in parts])
-        targets = np.concatenate([p[1] for p in parts])
-    else:
-        token_feats, targets = _label_gen_chunk(
-            windows, sample_configs, platform, generation, spec, entropy, 0
-        )
-    if registry.enabled:
-        registry.histogram("dataset.label_time").observe(time.perf_counter() - t0)
-        registry.counter("dataset.labels").inc(n_samples)
-        registry.gauge("dataset.workers").set(workers if workers else 1)
-    feats = np.column_stack([grid_features(configs)[chosen], token_feats])
-    return SurrogateDataset(windows, feats, targets, spec)
 
 
 def generate_dataset(

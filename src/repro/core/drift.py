@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.arrival.stats import autocorrelation
 from repro.arrival.window import sliding_windows
 
 

@@ -9,6 +9,9 @@ benchmark suites use smaller budgets).
 
 from __future__ import annotations
 
+import json
+import os
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +24,12 @@ from repro.nn.losses import combined_loss, slo_violation_weights
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
 from repro.telemetry.metrics import get_registry
+from repro.utils.io import atomic_write
 from repro.utils.rng import as_rng
+
+#: The layout :func:`save_trained` writes. Caches of trained models (the
+#: :class:`~repro.evaluation.workbench.Workbench` directory name) include it.
+CHECKPOINT_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -221,9 +229,12 @@ def fine_tune(
 
 def save_trained(trained: TrainedSurrogate, path) -> None:
     """Persist a trained surrogate (weights + scalers + architecture) as
-    one ``.npz`` checkpoint loadable with :func:`load_trained`."""
-    import json
+    one ``.npz`` checkpoint loadable with :func:`load_trained`.
 
+    The archive is written to exactly ``path`` (no ``.npz`` is appended)
+    through :func:`repro.utils.io.atomic_write`, so a save killed partway
+    leaves the previous checkpoint, or none, never a torn zip.
+    """
     state = {f"model.{k}": v for k, v in trained.model.state_dict().items()}
     state.update({f"pipeline.{k}": v for k, v in trained.pipeline.state_dict().items()})
     hp = getattr(trained.model, "hyperparameters", None)
@@ -233,17 +244,20 @@ def save_trained(trained: TrainedSurrogate, path) -> None:
             "checkpoints are supported"
         )
     state["hyperparameters"] = np.array([json.dumps(hp)])
-    np.savez_compressed(path, **state)
+    with atomic_write(path) as handle:
+        np.savez_compressed(handle, **state)
 
 
 def load_trained(path) -> TrainedSurrogate:
-    """Load a checkpoint written by :func:`save_trained`."""
-    import json
-
-    from repro.core.surrogate import DeepBATSurrogate
-
-    with np.load(path, allow_pickle=False) as archive:
-        state = {k: archive[k] for k in archive.files}
+    """Load a checkpoint written by :func:`save_trained`; a missing or
+    unreadable file raises ``ValueError`` naming the path."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            state = {k: archive[k] for k in archive.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"cannot read checkpoint {os.fspath(path)!r}: {exc}"
+        ) from exc
     hp = json.loads(str(state.pop("hyperparameters")[0]))
     model = DeepBATSurrogate(**hp, seed=0)
     model.load_state_dict(

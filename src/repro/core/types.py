@@ -1,8 +1,8 @@
 """The unified Controller/Decision API.
 
-Every chooser — DeepBAT, BATCH, the reactive baseline, the ground-truth
-oracle, and any test double — returns a :class:`Decision` (or a subclass
-adding controller-specific detail). The evaluation harness and the
+Every chooser — DeepBAT, BATCH, the ground-truth oracle, and any test
+double — returns a :class:`Decision` (or a subclass adding
+controller-specific detail). The evaluation harness and the
 telemetry layer program against exactly this surface, so there is one
 contract instead of per-controller duck typing:
 

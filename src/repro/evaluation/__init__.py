@@ -1,7 +1,6 @@
 """Evaluation: metrics (VCR Eq. 11), the closed-loop harness, reporting,
 and the cached experiment workbench."""
 
-from repro.evaluation.comparison import ComparisonReport, compare_controllers
 from repro.evaluation.harness import (
     DEFAULT_SEQUENCE_LENGTH,
     Chooser,
@@ -28,10 +27,8 @@ from repro.evaluation.workbench import Workbench, WorkbenchSettings, get_workben
 
 __all__ = [
     "Chooser",
-    "ComparisonReport",
     "DEFAULT_SEQUENCE_LENGTH",
     "ExperimentLog",
-    "compare_controllers",
     "OracleChooser",
     "SegmentOutcome",
     "Workbench",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +31,16 @@ from repro.arrival.traces import (
 )
 from repro.batching.config import BatchConfig, config_grid
 from repro.core.dataset import generate_dataset
-from repro.core.features import FeaturePipeline, TargetSpec
+from repro.core.features import TargetSpec
 from repro.core.surrogate import DeepBATSurrogate
 from repro.core.training import (
+    CHECKPOINT_FORMAT,
     TrainConfig,
     TrainedSurrogate,
     TrainingHistory,
     fine_tune,
+    load_trained,
+    save_trained,
     train_surrogate,
 )
 from repro.serverless.platform import ServerlessPlatform
@@ -68,7 +71,10 @@ class WorkbenchSettings:
     timeouts: tuple[float, ...] = (0.0, 0.01, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2)
 
     def fingerprint(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        # The checkpoint layout is part of the key: a cache written under
+        # another layout is not found, so it is never loaded as this one.
+        payload = json.dumps({**asdict(self), "checkpoint_format": CHECKPOINT_FORMAT},
+                             sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -136,10 +142,10 @@ class Workbench:
             return self._models[key]
         path = self.cache_dir / f"{key}.npz"
         if path.exists():
-            self._models[key] = self._load(path)
+            self._models[key] = load_trained(path)
         else:
             trained = builder()
-            self._save(trained, path)
+            save_trained(trained, path)
             self._models[key] = trained
         return self._models[key]
 
@@ -217,27 +223,6 @@ class Workbench:
             n_outputs=self.spec.n_outputs,
             seed=s.seed,
         )
-
-    # ---------------------------------------------------------- persistence
-    def _save(self, trained: TrainedSurrogate, path: Path) -> None:
-        state = {f"model.{k}": v for k, v in trained.model.state_dict().items()}
-        state.update(
-            {f"pipeline.{k}": v for k, v in trained.pipeline.state_dict().items()}
-        )
-        np.savez_compressed(path, **state)
-
-    def _load(self, path: Path) -> TrainedSurrogate:
-        with np.load(path) as archive:
-            state = {k: archive[k] for k in archive.files}
-        model = self._fresh_model()
-        model.load_state_dict(
-            {k[len("model.") :]: v for k, v in state.items() if k.startswith("model.")}
-        )
-        pipeline = FeaturePipeline(spec=self.spec)
-        pipeline.load_state_dict(
-            {k[len("pipeline.") :]: v for k, v in state.items() if k.startswith("pipeline.")}
-        )
-        return TrainedSurrogate(model=model, pipeline=pipeline, history=TrainingHistory())
 
 
 _DEFAULT: Workbench | None = None

@@ -1,8 +1,8 @@
 """Pure-NumPy deep-learning framework (the PyTorch substitute).
 
 Provides reverse-mode autodiff (:mod:`repro.nn.tensor`), standard layers,
-multi-head attention, a Transformer encoder, optimizers, the paper's loss
-functions, and data/serialization utilities.
+multi-head attention, a Transformer encoder, Adam, the paper's loss
+functions, and data utilities.
 """
 
 from repro.nn import functional
@@ -15,20 +15,15 @@ from repro.nn.layers import (
     Linear,
     Module,
     Parameter,
-    ReLU,
-    Sequential,
-    Tanh,
 )
 from repro.nn.losses import (
     combined_loss,
     huber_loss,
     mape_loss,
-    mse_loss,
     slo_violation_weights,
 )
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.recurrent import GRU, LSTM
-from repro.nn.serialization import load_state, save_state
 from repro.nn.tensor import DTYPE, Tensor, no_grad
 from repro.nn.transformer import (
     PositionalEncoding,
@@ -41,10 +36,8 @@ __all__ = [
     "DTYPE",
     "GRU",
     "LSTM",
-    "SGD",
     "Adam",
     "ArrayDataset",
-    "CosineAnnealingLR",
     "DataLoader",
     "Dropout",
     "FeedForward",
@@ -54,10 +47,6 @@ __all__ = [
     "MultiHeadAttention",
     "Parameter",
     "PositionalEncoding",
-    "ReLU",
-    "Sequential",
-    "StepLR",
-    "Tanh",
     "Tensor",
     "TransformerEncoder",
     "TransformerEncoderLayer",
@@ -65,11 +54,8 @@ __all__ = [
     "combined_loss",
     "functional",
     "huber_loss",
-    "load_state",
     "mape_loss",
-    "mse_loss",
     "no_grad",
-    "save_state",
     "scaled_dot_product_attention",
     "sinusoidal_positional_encoding",
     "slo_violation_weights",

@@ -7,7 +7,7 @@ training loop so the tape never crosses batch boundaries).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, _unbroadcast
+from repro.nn.tensor import Tensor
 
 
 def _softmax_forward(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -60,19 +60,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._from_op(s, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable ``log(softmax(x))`` with fused backward."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    s = np.exp(out)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(g - s * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._from_op(out, (x,), backward)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis``; gradient splits back per input."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
@@ -99,19 +86,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor._from_op(data, tuple(tensors), backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select; ``condition`` is a constant boolean array."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(np.where(cond, g, 0.0))
-        b._accumulate(np.where(cond, 0.0, g))
-
-    return Tensor._from_op(np.where(cond, a.data, b.data), (a, b), backward)
 
 
 def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:

@@ -15,12 +15,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float
     return rng.uniform(-bound, bound, size=shape)
 
 
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming/He normal init, suited to ReLU feed-forward stacks."""
-    fan_in, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
     if len(shape) < 1:
         raise ValueError("shape must have at least one dimension")

@@ -192,29 +192,6 @@ class Dropout(Module):
         return x * dropout_mask(x.shape, self.p, self._rng)
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sequential(Module):
-    """Chain modules in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
 class FeedForward(Module):
     """Two-layer position-wise MLP (``Linear -> ReLU -> Linear``).
 

@@ -76,9 +76,3 @@ def slo_violation_weights(
     w = np.where(latency_targets > slo, penalty, 1.0)
     return w[:, None]
 
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Plain mean squared error (used in ablations/tests)."""
-    target = _constant(target, pred)
-    diff = pred - target
-    return (diff * diff).mean()

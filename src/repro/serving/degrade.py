@@ -58,10 +58,8 @@ from dataclasses import dataclass, replace
 
 from repro.serverless.faults import RetryPolicy
 from repro.serverless.outages import (
-    CrashHazard,
     OutageModel,
     OutageWindow,
-    StragglerModel,
     sample_outage_windows,
 )
 from repro.serving.schema import DEFAULT, as_object, build, fail, load_json

@@ -99,7 +99,7 @@ import numpy as np
 from repro.batching.buffer import Batch, BatchingBuffer
 from repro.batching.config import BatchConfig
 from repro.batching.continuous import ContinuousSession, GenRequest
-from repro.core.drift import WorkloadDriftDetector, prediction_drift
+from repro.core.drift import prediction_drift
 from repro.core.types import Decision
 from repro.evaluation.harness import Chooser, _resolve_sequence_length
 from repro.serverless.faults import inject_faults
@@ -313,7 +313,8 @@ class ServingEngine:
         Lag between a decision and the new configuration taking effect.
     drift:
         :class:`~repro.serving.config.DriftConfig` grouping the workload
-        drift trigger: the fitted :class:`WorkloadDriftDetector`, the check
+        drift trigger: the fitted
+        :class:`~repro.core.drift.WorkloadDriftDetector`, the check
         cadence/cooldown, and the optional delayed retrain. When a live
         window falls outside the training envelope, an out-of-band
         ``DecisionTick`` fires (§III-D's OOD trigger, run against live
@@ -1714,7 +1715,7 @@ class ServingEngine:
         )
         if ctx.registry.enabled:
             log.publish(ctx.registry, self.metrics_prefix)
-            st.buffer.publish(ctx.registry)
+            st.buffer.publish(ctx.registry, st.ts)
         return log
 
 

@@ -32,7 +32,7 @@ tier), so every :meth:`~WarmPool.acquire` costs O(log n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro.serverless.outages import OutageModel

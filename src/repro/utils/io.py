@@ -1,9 +1,9 @@
 """Crash-safe file I/O shared by every checkpoint writer in the repo.
 
 A process dying mid-``write()`` must never leave a torn file where a valid
-one used to be — neither for model ``.npz`` archives
-(:mod:`repro.nn.serialization`) nor for serving-runtime snapshots
-(:mod:`repro.serving.checkpoint`). :func:`atomic_write` implements the
+one used to be — neither for trained-surrogate ``.npz`` checkpoints
+(:func:`repro.core.training.save_trained`) nor for serving-runtime
+snapshots (:mod:`repro.serving.checkpoint`). :func:`atomic_write` implements the
 standard discipline once: write to a temporary file in the *same directory*
 (so the final rename never crosses a filesystem), flush and fsync it, then
 ``os.replace`` it over the destination. Readers see either the old complete

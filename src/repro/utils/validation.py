@@ -26,18 +26,6 @@ def check_positive(x: float, name: str = "value", strict: bool = True) -> float:
     return x
 
 
-def check_probability_vector(p: np.ndarray, name: str = "probability vector") -> np.ndarray:
-    """Validate that ``p`` is a 1-D non-negative vector summing to one."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {p.shape}")
-    if np.any(p < -1e-12):
-        raise ValueError(f"{name} has negative entries")
-    if not np.isclose(p.sum(), 1.0, atol=1e-8):
-        raise ValueError(f"{name} must sum to 1, sums to {p.sum()}")
-    return p
-
-
 def check_sorted(x: np.ndarray, name: str = "array", strict: bool = False) -> np.ndarray:
     """Validate that ``x`` is sorted in non-decreasing (or increasing) order."""
     x = np.asarray(x)

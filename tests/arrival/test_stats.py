@@ -10,7 +10,6 @@ from repro.arrival.mmpp import mmpp2
 from repro.arrival.stats import (
     autocorrelation,
     binned_rate,
-    counts_idc,
     idc,
     interarrivals,
     mean_rate,
@@ -100,21 +99,8 @@ class TestIdc:
         ts = m.sample(duration=120.0, seed=0)
         assert idc(np.diff(ts)) > 10.0
 
-    def test_counts_idc_poisson(self):
-        ts = poisson_map(100.0).sample(duration=500.0, seed=1)
-        assert counts_idc(ts, window=1.0) == pytest.approx(1.0, abs=0.25)
-
-    def test_counts_idc_bursty(self):
-        m = mmpp2(200.0, 2.0, 0.5, 0.5)
-        ts = m.sample(duration=200.0, seed=1)
-        assert counts_idc(ts, window=1.0) > 10.0
-
     def test_short_series_returns_one(self):
         assert idc(np.array([1.0, 2.0])) == 1.0
-
-    def test_counts_idc_invalid_window(self):
-        with pytest.raises(ValueError):
-            counts_idc(np.array([1.0]), window=0.0)
 
 
 @given(st.lists(st.floats(0.01, 10.0), min_size=5, max_size=50))

@@ -8,7 +8,6 @@ from repro.arrival.map_process import poisson_map
 from repro.arrival.mmpp import mmpp2
 from repro.baseline.uniformization import (
     expanded_generator,
-    time_to_level_cdf,
     transient_kernels,
 )
 
@@ -60,44 +59,3 @@ class TestTransientKernels:
         with pytest.raises(ValueError):
             transient_kernels(poisson_map(1.0), 2, horizon=1.0, n_steps=0)
 
-
-class TestTimeToLevel:
-    def test_poisson_time_to_kth_arrival_is_erlang(self):
-        rate, k = 4.0, 3
-        grid = np.linspace(0, 3, 30)
-        cdf = time_to_level_cdf(poisson_map(rate), k, grid)
-        expected = stats.gamma.cdf(grid, a=k, scale=1 / rate)
-        np.testing.assert_allclose(cdf, expected, atol=1e-8)
-
-    def test_single_arrival_is_exponential(self):
-        rate = 2.5
-        grid = np.linspace(0, 2, 10)
-        cdf = time_to_level_cdf(poisson_map(rate), 1, grid)
-        np.testing.assert_allclose(cdf, 1 - np.exp(-rate * grid), atol=1e-10)
-
-    def test_mmpp_cdf_is_monotone_distribution(self):
-        m = mmpp2(10.0, 1.0, 0.5, 0.5)
-        grid = np.linspace(0, 5, 40)
-        cdf = time_to_level_cdf(m, 4, grid)
-        assert cdf[0] == pytest.approx(0.0, abs=1e-12)
-        assert np.all(np.diff(cdf) >= -1e-12)
-        assert cdf[-1] > 0.9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            time_to_level_cdf(poisson_map(1.0), 0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            time_to_level_cdf(poisson_map(1.0), 1, np.array([-1.0]))
-
-    def test_mmpp_matches_monte_carlo(self):
-        m = mmpp2(20.0, 2.0, 1.0, 1.0)
-        k = 5
-        samples = []
-        for seed in range(400):
-            ts = m.sample(n_arrivals=k, seed=seed)
-            samples.append(ts[-1])
-        samples = np.asarray(samples)
-        grid = np.array([np.percentile(samples, 50)])
-        # sample() starts from the stationary CTMC phase; match it.
-        cdf = time_to_level_cdf(m, k, grid, initial_phase=m.stationary_phase())
-        assert cdf[0] == pytest.approx(0.5, abs=0.08)

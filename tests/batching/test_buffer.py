@@ -1,6 +1,7 @@
 """Tests for the online batching buffer, including cross-checks against
 the vectorized simulator (they implement the same (B, T) policy)."""
 
+import math
 from bisect import bisect_left
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.batching.buffer import BatchingBuffer
 from repro.batching.config import BatchConfig
 from repro.batching.simulator import form_batches
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def drive(ts, config):
@@ -19,7 +21,7 @@ def drive(ts, config):
     batches = []
     for t in ts:
         batches.extend(buf.observe(t))
-    batches.extend(buf.flush())
+    batches.extend(buf.poll(math.inf))
     ends = np.cumsum([b.size for b in batches])
     disp = np.array([b.dispatch_time for b in batches])
     return ends, disp
@@ -48,9 +50,9 @@ class TestOnlineBuffer:
         batches = []
         for t in ts:
             batches.extend(buf.observe(t))
-        batches.extend(buf.flush())
+        batches.extend(buf.poll(math.inf))
         for b in batches:
-            waits = b.dispatch_time - np.asarray(b.arrival_times)
+            waits = b.dispatch_time - ts[b.first_index:b.first_index + b.size]
             assert np.all(waits <= 0.05 + 1e-12)
             assert np.all(waits >= -1e-12)
 
@@ -63,18 +65,34 @@ class TestOnlineBuffer:
     def test_reconfigure_applies_to_future_batches(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 4, 10.0))
         buf.observe(0.0)
-        buf.reconfigure(BatchConfig(1024.0, 2, 10.0))
+        assert buf.reconfigure(BatchConfig(1024.0, 2, 10.0), now=0.0) == []
         out = buf.observe(0.1)
         assert len(out) == 1 and out[0].size == 2
 
     def test_flush_empties_buffer(self):
+        # The end of a stream: every pending request leaves.
         buf = BatchingBuffer(BatchConfig(1024.0, 100, 50.0))
         for t in [0.0, 0.1, 0.2]:
             buf.observe(t)
         assert buf.pending == 3
-        out = buf.flush()
+        out = buf.poll(math.inf)
         assert buf.pending == 0
         assert sum(b.size for b in out) == 3
+
+    def test_publish_waits_from_the_callers_arrivals(self):
+        ts = np.sort(np.random.default_rng(3).uniform(0, 2, 50))
+        buf = BatchingBuffer(BatchConfig(1024.0, 4, 0.1))
+        batches = [b for t in ts for b in buf.observe(t)]
+        batches += buf.poll(math.inf)
+        registry = MetricsRegistry()
+        buf.publish(registry, ts)
+        waits = np.concatenate([
+            b.dispatch_time - ts[b.first_index:b.first_index + b.size]
+            for b in batches])
+        hist = registry.histogram("buffer.wait")
+        assert hist._samples == waits.tolist()
+        assert registry.histogram("buffer.batch_size")._samples == [
+            float(b.size) for b in batches]
 
     def test_indices_are_sequential(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 2, 1.0))
@@ -90,12 +108,12 @@ def indices(batch):
 
 
 def as_tuples(batches):
-    return [(indices(b), list(b.arrival_times), b.dispatch_time)
-            for b in batches]
+    return [(indices(b), b.dispatch_time) for b in batches]
 
 
 def state(buf):
-    return buf._pending_times, buf._next_index
+    return (buf._pending_times, buf._next_index, buf._dispatch_times,
+            buf._sizes)
 
 
 def engine_cut(ts, ptr, buf, other):
@@ -135,7 +153,7 @@ class TestObserveRuns:
             assert as_tuples(got) == as_tuples(want[-1])
             assert state(runs) == state(single)
             ptr = end
-        assert as_tuples(runs.flush()) == as_tuples(single.flush())
+        assert as_tuples(runs.poll(math.inf)) == as_tuples(single.poll(math.inf))
 
     @given(grid_arrivals, grid_configs, st.data())
     @settings(max_examples=100, deadline=None)
@@ -156,22 +174,21 @@ class TestObserveRuns:
         # Both land on the head deadline: the first closes the batch with
         # itself in it, the second opens the next one.
         out = buf.observe(0.25, 0.25)
-        assert as_tuples(out) == [([0, 1, 2], [0.0, 0.125, 0.25], 0.25)]
+        assert as_tuples(out) == [([0, 1, 2], 0.25)]
         assert buf.pending == 1 and buf.next_deadline() == 0.5
 
     def test_batch_filled_on_the_last_arrival(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 4, 1.0))
         assert buf.observe(0.0) == []
         out = buf.observe(0.1, 0.2, 0.3)
-        assert as_tuples(out) == [([0, 1, 2, 3], [0.0, 0.1, 0.2, 0.3], 0.3)]
+        assert as_tuples(out) == [([0, 1, 2, 3], 0.3)]
         assert buf.pending == 0 and buf.next_deadline() is None
 
     def test_zero_timeout(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 4, 0.0))
         # Every arrival is due the moment it arrives and leaves alone.
         out = buf.observe(0.0, 0.0, 0.5)
-        assert as_tuples(out) == [([0], [0.0], 0.0), ([1], [0.0], 0.0),
-                                  ([2], [0.5], 0.5)]
+        assert as_tuples(out) == [([0], 0.0), ([1], 0.0), ([2], 0.5)]
 
     def test_run_going_backwards_names_the_time(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 8, 1.0))
@@ -182,17 +199,14 @@ class TestObserveRuns:
 
 
 class TestBatchesAreRanges:
-    """A batch is an index range, a dispatch time and the members' arrival
-    times as plain floats: no dispatch path builds an array per batch."""
+    """A batch is an index range and a dispatch time, as plain Python
+    numbers: no dispatch path builds an array per batch."""
 
     @staticmethod
     def assert_plain(batch):
+        assert batch._fields == ("first_index", "size", "dispatch_time")
         assert type(batch.first_index) is int and type(batch.size) is int
         assert type(batch.dispatch_time) is float
-        assert not isinstance(batch.arrival_times, np.ndarray)
-        assert len(batch.arrival_times) == batch.size
-        assert all(isinstance(t, float) and not isinstance(t, np.generic)
-                   for t in batch.arrival_times)
 
     def test_every_dispatch_path(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 3, 0.5))
@@ -202,13 +216,13 @@ class TestBatchesAreRanges:
         buf.observe(3.0, 3.1)
         made["reconfigure"] = buf.reconfigure(BatchConfig(1024.0, 1, 0.5),
                                               now=3.2)
-        buf.reconfigure(BatchConfig(1024.0, 4, 0.5))
+        buf.reconfigure(BatchConfig(1024.0, 4, 0.5), now=3.2)
         buf.observe(4.0, 4.1)
-        made["flush"] = buf.flush()
+        made["end"] = buf.poll(math.inf)
         assert {path: [(b.first_index, b.size) for b in out]
                 for path, out in made.items()} == {
             "observe": [(0, 3)], "poll": [(3, 1)],
-            "reconfigure": [(4, 1), (5, 1)], "flush": [(6, 2)],
+            "reconfigure": [(4, 1), (5, 1)], "end": [(6, 2)],
         }
         for out in made.values():
             for batch in out:
@@ -233,12 +247,12 @@ class TestBatchesAreRanges:
         assert runs.pending == single.pending
         assert runs._next_index == single._next_index
         assert runs.next_deadline() == single.next_deadline()
-        assert as_tuples(runs._dispatched) == as_tuples(single._dispatched)
+        assert state(runs) == state(single)
         with pytest.raises(ValueError, match="non-decreasing"):
             runs.observe(ts[cut - 1] - 0.125)
         assert as_tuples(runs.observe(*ts[cut:])) == as_tuples(
             [b for t in ts[cut:] for b in single.observe(t)])
-        assert as_tuples(runs.flush()) == as_tuples(single.flush())
+        assert as_tuples(runs.poll(math.inf)) == as_tuples(single.poll(math.inf))
 
 
 class TestBufferMatchesSimulator:
@@ -270,7 +284,7 @@ class TestBufferMatchesSimulator:
     def test_bt_grid_agreement(self):
         """Exhaustive (B, T) sweep: for every grid point and several traces
         the online buffer's full schedule — including the end-of-stream
-        flush — matches the vectorized batch former."""
+        drain — matches the vectorized batch former."""
         rng = np.random.default_rng(7)
         traces = [
             np.sort(rng.uniform(0.0, 3.0, 40)),
@@ -286,65 +300,6 @@ class TestBufferMatchesSimulator:
                     buf_ends, buf_disp = drive(ts, BatchConfig(1024.0, b, t))
                     np.testing.assert_array_equal(buf_ends, sim_ends)
                     np.testing.assert_allclose(buf_disp, sim_disp, atol=1e-12)
-
-
-class TestFlushRegression:
-    """Regression: flush() used to stamp every drained batch with the whole
-    buffer's newest arrival (inflated by max(due, pending[-1])), could
-    dispatch after the caller's ``now``, and held full batches until the
-    first member's deadline."""
-
-    def _loaded_buffer(self):
-        # B=8 collects 7 arrivals without dispatching; reconfiguring to B=2
-        # leaves the flush to drain three full batches plus one partial.
-        buf = BatchingBuffer(BatchConfig(1024.0, 8, 10.0))
-        for t in np.arange(0.0, 0.61, 0.1):
-            assert buf.observe(float(t)) == []
-        buf.reconfigure(BatchConfig(1024.0, 2, 10.0))
-        return buf
-
-    def test_full_batches_dispatch_at_own_member(self):
-        out = self._loaded_buffer().flush()
-        disp = [b.dispatch_time for b in out]
-        # Full pairs leave when their 2nd member arrived; the lone tail
-        # waits out its own timeout (0.6 + 10).
-        np.testing.assert_allclose(disp, [0.1, 0.3, 0.5, 10.6])
-        assert [b.size for b in out] == [2, 2, 2, 1]
-
-    def test_now_caps_partial_batches(self):
-        out = self._loaded_buffer().flush(now=1.0)
-        disp = [b.dispatch_time for b in out]
-        np.testing.assert_allclose(disp, [0.1, 0.3, 0.5, 1.0])
-
-    def test_never_before_own_newest_member(self):
-        # A force-flush "now" earlier than the tail's arrival cannot send
-        # the batch back in time.
-        out = self._loaded_buffer().flush(now=0.05)
-        assert out[-1].dispatch_time == pytest.approx(0.6)
-
-    def test_dispatch_never_after_now_beyond_arrivals(self):
-        buf = BatchingBuffer(BatchConfig(1024.0, 10, 50.0))
-        for t in [0.0, 0.1, 0.2]:
-            buf.observe(t)
-        out = buf.flush(now=0.2)
-        assert len(out) == 1
-        assert out[0].dispatch_time == pytest.approx(0.2)
-
-    def test_flush_matches_simulator_end_of_stream(self):
-        # Without "now", a partial batch flushes at first + timeout —
-        # exactly the vectorized simulator's end-of-stream rule.
-        ts = np.array([0.0, 0.1, 0.2])
-        _, sim_disp = form_batches(ts, 10, 0.5)
-        buf = BatchingBuffer(BatchConfig(1024.0, 10, 0.5))
-        for t in ts:
-            buf.observe(float(t))
-        out = buf.flush()
-        assert out[0].dispatch_time == pytest.approx(sim_disp[-1])
-
-    def test_nonpositive_waits_never_happen(self):
-        for b in self._loaded_buffer().flush():
-            waits = b.dispatch_time - np.asarray(b.arrival_times)
-            assert np.all(waits >= -1e-12)
 
 
 class TestMidStreamReconfigure:
@@ -386,17 +341,6 @@ class TestMidStreamReconfigure:
         assert out == []
         assert buf.pending == 1
         assert buf.next_deadline() == pytest.approx(5.0)
-
-    def test_without_now_defers_to_next_observe(self):
-        # The offline idiom (no ``now``) still applies lazily: nothing
-        # leaves at the switch, and each later observe drains one batch.
-        buf = BatchingBuffer(BatchConfig(1024.0, 8, 10.0))
-        for t in [0.0, 0.1, 0.2]:
-            buf.observe(t)
-        assert buf.reconfigure(BatchConfig(1024.0, 2, 10.0)) == []
-        assert [b.size for b in buf.observe(0.3)] == [2]
-        assert [b.size for b in buf.observe(0.4)] == [2]
-        assert buf.pending == 1
 
     def test_next_deadline_tracks_head(self):
         buf = BatchingBuffer(BatchConfig(1024.0, 4, 0.5))

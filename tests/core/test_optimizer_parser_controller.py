@@ -1,4 +1,4 @@
-"""Tests for the SLO-aware optimizer, workload parser, and controller."""
+"""Tests for the SLO-aware optimizer and the DeepBAT controller."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.batching.config import BatchConfig, config_grid
 from repro.core.dataset import generate_dataset
 from repro.core.features import TargetSpec
 from repro.core.optimizer import SloAwareOptimizer
-from repro.core.parser import WorkloadParser
 from repro.core.controller import DeepBATController
 from repro.core.surrogate import DeepBATSurrogate
 from repro.core.training import TrainConfig, train_surrogate
@@ -72,43 +71,6 @@ class TestSloAwareOptimizer:
         opt = SloAwareOptimizer(GRID, spec=SPEC)
         assert opt.features.shape == (len(GRID), 3)
         np.testing.assert_allclose(opt.features[0], GRID[0].as_array())
-
-
-class TestWorkloadParser:
-    def test_window_padding_then_full(self):
-        p = WorkloadParser(window_length=4)
-        for t in [0.0, 0.1, 0.2]:
-            p.observe(t)
-        assert not p.has_full_window()
-        w = p.window()
-        assert w.shape == (4,)
-        for t in [0.3, 0.4]:
-            p.observe(t)
-        assert p.has_full_window()
-        np.testing.assert_allclose(p.window(), [0.1, 0.1, 0.1, 0.1])
-
-    def test_rejects_decreasing_times(self):
-        p = WorkloadParser(window_length=4)
-        p.observe(1.0)
-        with pytest.raises(ValueError):
-            p.observe(0.5)
-
-    def test_history_bounded(self):
-        p = WorkloadParser(window_length=4, max_history=10)
-        p.observe_many(np.arange(100.0))
-        assert p.n_observed == 10
-
-    def test_reset(self):
-        p = WorkloadParser(window_length=4)
-        p.observe(0.0)
-        p.reset()
-        assert p.n_observed == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadParser(window_length=0)
-        with pytest.raises(ValueError):
-            WorkloadParser(window_length=10, max_history=5)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Conformance tests: every shipped chooser honours the Decision API.
 
-Parametrized over all four choosers (DeepBAT, BATCH, reactive, oracle):
+Parametrized over all three choosers (DeepBAT, BATCH, oracle):
 each must return a (subclass of) :class:`repro.core.types.Decision` from
 ``choose(history, slo)`` with a non-negative ``decision_time``, and must
 round-trip through :func:`run_segment` without any per-chooser special
@@ -16,7 +16,6 @@ from repro.arrival.map_process import poisson_map
 from repro.arrival.stats import interarrivals
 from repro.arrival.traces import azure_like
 from repro.baseline.controller import BATCHController
-from repro.baseline.reactive import ReactiveController
 from repro.batching.config import config_grid
 from repro.core.controller import DeepBATController
 from repro.core.dataset import generate_dataset
@@ -30,7 +29,7 @@ SLO = 0.1
 TRACE = azure_like(seed=0, n_segments=3, segment_duration=20.0, base_rate=80.0)
 PLAT = ServerlessPlatform()
 GRID = config_grid(memories=(1024.0, 1792.0), batch_sizes=(1, 8), timeouts=(0.0, 0.05))
-CHOOSERS = ["deepbat", "batch", "reactive", "oracle"]
+CHOOSERS = ["deepbat", "batch", "oracle"]
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +50,6 @@ def choosers(trained_tiny):
         "deepbat": DeepBATController(trained_tiny, configs=GRID),
         "batch": BATCHController(configs=GRID, profile=PLAT.profile,
                                  pricing=PLAT.pricing),
-        "reactive": ReactiveController(configs=GRID, platform=PLAT, slo=SLO,
-                                       rate_bands=(50.0, 100.0),
-                                       profile_duration=5.0),
         "oracle": oracle,
     }
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.evaluation import workbench
 from repro.evaluation.workbench import Workbench, WorkbenchSettings
 
 TINY = WorkbenchSettings(
@@ -71,6 +72,12 @@ class TestWorkbench:
         b = WorkbenchSettings(seq_len=128)
         assert a.fingerprint() != b.fingerprint()
         assert a.fingerprint() == WorkbenchSettings().fingerprint()
+
+    def test_fingerprint_names_the_checkpoint_format(self, monkeypatch):
+        before = WorkbenchSettings().fingerprint()
+        monkeypatch.setattr(workbench, "CHECKPOINT_FORMAT",
+                            workbench.CHECKPOINT_FORMAT + 1)
+        assert WorkbenchSettings().fingerprint() != before
 
     def test_training_history_split(self, bench):
         hist = bench.azure_training_history()

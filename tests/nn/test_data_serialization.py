@@ -1,14 +1,22 @@
-"""Tests for datasets, data loaders, and checkpoint (de)serialization."""
+"""Tests for datasets, data loaders, and the surrogate checkpoint format
+(:func:`repro.core.save_trained` / :func:`repro.core.load_trained`)."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import load_trained, save_trained
 from repro.nn.data import ArrayDataset, DataLoader, train_val_split
-from repro.nn.layers import Linear, Sequential, ReLU
-from repro.nn.serialization import load_state, save_state
-from repro.nn.tensor import Tensor
+from repro.nn.layers import Linear
+
+#: The committed decision-benchmark model: a small real checkpoint.
+COMMITTED = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "surrogate.npz"
+
+
+@pytest.fixture(scope="module")
+def trained():
+    return load_trained(COMMITTED)
 
 
 class TestArrayDataset:
@@ -79,27 +87,6 @@ class TestDataLoader:
             DataLoader(ArrayDataset(np.arange(3)), batch_size=0)
 
 
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        net = Sequential(Linear(4, 8, seed=0), ReLU(), Linear(8, 2, seed=1))
-        path = tmp_path / "model.npz"
-        save_state(net, path)
-
-        clone = Sequential(Linear(4, 8, seed=9), ReLU(), Linear(8, 2, seed=9))
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        assert not np.allclose(net(x).data, clone(x).data)
-        load_state(clone, path)
-        np.testing.assert_allclose(net(x).data, clone(x).data)
-
-    def test_wrong_architecture_rejected(self, tmp_path):
-        net = Linear(4, 8, seed=0)
-        path = tmp_path / "model.npz"
-        save_state(net, path)
-        other = Linear(4, 9, seed=0)
-        with pytest.raises((KeyError, ValueError)):
-            load_state(other, path)
-
-
 class TestFloat32Checkpoints:
     """Float64 archives written before the models became float32 still load,
     into float32 parameters."""
@@ -110,20 +97,21 @@ class TestFloat32Checkpoints:
         path = tmp_path / "old.npz"
         np.savez(path, **state)
         net = Linear(4, 8, seed=0)
-        load_state(net, path)
+        with np.load(path) as archive:
+            net.load_state_dict({k: archive[k] for k in archive.files})
         for name, p in net.named_parameters():
             assert p.dtype == np.float32
             np.testing.assert_array_equal(p.data, state[name].astype(np.float32))
 
-    def test_float32_roundtrip_is_exact(self, tmp_path):
-        net = Sequential(Linear(4, 8, seed=0), ReLU(), Linear(8, 2, seed=1))
+    def test_float32_roundtrip_is_exact(self, trained, tmp_path):
         path = tmp_path / "model.npz"
-        save_state(net, path)
+        save_trained(trained, path)
         with np.load(path) as archive:
-            assert all(archive[k].dtype == np.float32 for k in archive.files)
-        clone = Sequential(Linear(4, 8, seed=9), ReLU(), Linear(8, 2, seed=9))
-        load_state(clone, path)
-        for (_, a), (_, b) in zip(net.named_parameters(), clone.named_parameters()):
+            assert all(archive[k].dtype == np.float32
+                       for k in archive.files if k.startswith("model."))
+        clone = load_trained(path)
+        for (_, a), (_, b) in zip(trained.model.named_parameters(),
+                                  clone.model.named_parameters()):
             assert b.dtype == np.float32
             np.testing.assert_array_equal(a.data, b.data)
 
@@ -140,55 +128,35 @@ class TestFloat32Checkpoints:
 
 
 class TestSerializationHardening:
-    """PR 5 satellite: actionable errors and atomic writes."""
+    """Actionable load errors and atomic saves."""
 
     def test_unreadable_file_is_a_clear_error(self, tmp_path):
         path = tmp_path / "corrupt.npz"
         path.write_bytes(b"PK\x03\x04 truncated zip")
         with pytest.raises(ValueError, match="cannot read checkpoint"):
-            load_state(Linear(4, 8, seed=0), path)
+            load_trained(path)
 
     def test_missing_file_is_a_clear_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read checkpoint"):
-            load_state(Linear(4, 8, seed=0), tmp_path / "nope.npz")
+            load_trained(tmp_path / "nope.npz")
 
-    def test_missing_and_unexpected_keys_are_named(self, tmp_path):
-        # A checkpoint of a shallower model: the deep model's later layers
-        # are missing; nothing is unexpected.
-        path = tmp_path / "shallow.npz"
-        save_state(Sequential(Linear(4, 8, seed=0)), path)
-        deep = Sequential(Linear(4, 8, seed=0), ReLU(), Linear(8, 2, seed=1))
-        with pytest.raises(ValueError, match="different architecture"):
-            load_state(deep, path)
-        # And the reverse: the deep checkpoint has unexpected keys.
-        save_state(deep, path)
-        with pytest.raises(ValueError, match="unexpected keys"):
-            load_state(Sequential(Linear(4, 8, seed=0)), path)
-
-    def test_shape_mismatch_names_the_parameter(self, tmp_path):
-        path = tmp_path / "mismatch.npz"
-        save_state(Linear(4, 8, seed=0), path)
-        wider = Linear(4, 9, seed=0)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            load_state(wider, path)
-        # The module is untouched: validation runs before any assignment.
-        before = {k: v.copy() for k, v in Linear(4, 9, seed=0).state_dict().items()}
-        try:
-            load_state(wider, path)
-        except ValueError:
-            pass
-        for key, value in wider.state_dict().items():
-            np.testing.assert_array_equal(value, before[key])
-
-    def test_save_is_atomic(self, tmp_path):
+    def test_save_is_atomic(self, trained, tmp_path):
         # Overwriting an existing checkpoint leaves no temp litter, and the
         # result is the complete new archive.
         path = tmp_path / "model.npz"
-        save_state(Linear(4, 8, seed=0), path)
-        new = Linear(4, 8, seed=7)
-        save_state(new, path)
+        save_trained(trained, path)
+        new = load_trained(path)
+        new.model.head.fc2.bias.data += 1.0
+        save_trained(new, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
-        clone = Linear(4, 8, seed=0)
-        load_state(clone, path)
         np.testing.assert_array_equal(
-            clone.state_dict()["weight"], new.state_dict()["weight"])
+            load_trained(path).model.head.fc2.bias.data,
+            new.model.head.fc2.bias.data)
+
+    def test_save_without_npz_suffix_loads_from_the_same_path(
+            self, trained, tmp_path):
+        path = tmp_path / "model"
+        save_trained(trained, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+        loaded = load_trained(path)
+        assert loaded.model.hyperparameters == trained.model.hyperparameters

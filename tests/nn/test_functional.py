@@ -42,18 +42,6 @@ class TestSoftmax:
         np.testing.assert_allclose(s1, s2, atol=1e-10)
 
 
-class TestLogSoftmax:
-    def test_matches_log_of_softmax(self):
-        x = Tensor(RNG.normal(size=(4, 6)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-12
-        )
-
-    def test_gradient(self):
-        w = RNG.normal(size=(2, 4))
-        assert_grad_matches(lambda t: F.log_softmax(t) * Tensor(w), RNG.normal(size=(2, 4)))
-
-
 class TestConcatStack:
     def test_concat_values_and_gradient(self):
         a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
@@ -85,16 +73,6 @@ class TestConcatStack:
 
 
 class TestMaskingOps:
-    def test_where_selects_and_blocks_grad(self):
-        cond = np.array([True, False, True])
-        a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        b = Tensor(np.array([10.0, 20.0, 30.0]), requires_grad=True)
-        out = F.where(cond, a, b)
-        np.testing.assert_allclose(out.data, [1.0, 20.0, 3.0])
-        out.sum().backward()
-        np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
-
     def test_masked_fill(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         mask = np.array([[True, False], [False, True]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.init import _fans, he_normal, xavier_uniform
+from repro.nn.init import _fans, xavier_uniform
 
 
 class TestFans:
@@ -41,15 +41,3 @@ class TestXavier:
         base = xavier_uniform((50, 50), rng1)
         scaled = xavier_uniform((50, 50), rng2, gain=2.0)
         np.testing.assert_allclose(scaled, 2.0 * base)
-
-
-class TestHeNormal:
-    def test_std_matches_fan_in(self):
-        rng = np.random.default_rng(0)
-        w = he_normal((400, 100), rng)
-        assert w.std() == pytest.approx(np.sqrt(2.0 / 400), rel=0.1)
-
-    def test_zero_mean(self):
-        rng = np.random.default_rng(1)
-        w = he_normal((500, 100), rng)
-        assert abs(w.mean()) < 0.01

@@ -9,7 +9,6 @@ from repro.nn.losses import (
     combined_loss,
     huber_loss,
     mape_loss,
-    mse_loss,
     slo_violation_weights,
 )
 from repro.nn.tensor import Tensor
@@ -100,11 +99,3 @@ class TestSloViolationWeights:
         weighted = combined_loss(pred, target, weights=w).item()
         assert weighted > unweighted
 
-
-class TestMSE:
-    def test_matches_numpy(self):
-        pred = Tensor(RNG.normal(size=(8,)))
-        target = Tensor(RNG.normal(size=(8,)))
-        assert mse_loss(pred, target).item() == pytest.approx(
-            float(np.mean((pred.data - target.data) ** 2))
-        )

@@ -1,10 +1,10 @@
-"""Tests for optimizers, gradient clipping, and LR schedulers."""
+"""Tests for Adam and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Parameter
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 
 
@@ -17,47 +17,6 @@ def step_once(opt, p):
     opt.zero_grad()
     loss.backward()
     opt.step()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            step_once(opt, p)
-        assert abs(p.data[0]) < 1e-3
-
-    def test_momentum_faster_than_plain(self):
-        p1, p2 = quadratic_param(), quadratic_param()
-        plain = SGD([p1], lr=0.01)
-        mom = SGD([p2], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            step_once(plain, p1)
-            step_once(mom, p2)
-        assert abs(p2.data[0]) < abs(p1.data[0])
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        # zero gradient: only decay acts
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_invalid_hyperparams(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_skips_params_without_grad(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=0.1)
-        before = p.data.copy()
-        opt.step()  # no grad accumulated
-        np.testing.assert_allclose(p.data, before)
 
 
 class TestAdam:
@@ -80,6 +39,19 @@ class TestAdam:
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
             Adam([quadratic_param()], betas=(1.0, 0.999))
+
+    def test_invalid_lr_and_empty_params(self):
+        with pytest.raises(ValueError):
+            Adam([quadratic_param()], lr=-1.0)
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
+    def test_skips_params_without_grad(self):
+        p = quadratic_param()
+        opt = Adam([p], lr=0.1)
+        before = p.data.copy()
+        opt.step()  # no grad accumulated
+        np.testing.assert_allclose(p.data, before)
 
     def test_fits_linear_regression(self):
         rng = np.random.default_rng(0)
@@ -116,38 +88,3 @@ class TestClipGradNorm:
         with pytest.raises(ValueError):
             clip_grad_norm([], max_norm=0.0)
 
-
-class TestSchedulers:
-    def test_step_lr(self):
-        p = quadratic_param()
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_endpoints(self):
-        p = quadratic_param()
-        opt = Adam([p], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, min_lr=0.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = Adam([quadratic_param()], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=20)
-        prev = opt.lr
-        for _ in range(20):
-            sched.step()
-            assert opt.lr <= prev + 1e-12
-            prev = opt.lr
-
-    def test_invalid_args(self):
-        opt = SGD([quadratic_param()], lr=0.1)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(opt, t_max=0)

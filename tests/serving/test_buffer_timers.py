@@ -30,9 +30,9 @@ class TimerCheckingEngine(ServingEngine):
 
     def _on_timer(self, st, ctx, now, deadline):
         at_head = st.buffer.next_deadline() == deadline
-        before = len(st.buffer._dispatched)
+        before = len(st.buffer._sizes)
         super()._on_timer(st, ctx, now, deadline)
-        self.fired.append((at_head, len(st.buffer._dispatched) - before))
+        self.fired.append((at_head, len(st.buffer._sizes) - before))
 
 
 @pytest.mark.parametrize("rate", [2000.0, 150.0])

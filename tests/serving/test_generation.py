@@ -629,33 +629,27 @@ class TestFleetGeneration:
 # --------------------------------------------------------------- surrogate
 class TestGenerationSurrogate:
     def test_five_feature_dataset_and_training(self):
+        # A surrogate over (M, B, T) plus the mean prompt and output token
+        # counts: five feature columns, trained and predicting end to end.
         from repro.core import (
             DeepBATSurrogate,
+            SurrogateDataset,
+            TargetSpec,
             TrainConfig,
-            generate_generation_dataset,
             train_surrogate,
         )
 
         rng = np.random.default_rng(0)
-        history = rng.exponential(0.01, size=3000)
-        gen = GenerationConfig(
-            dispatcher="buffer",
-            length_model=TokenLengthModel(prompt_mean=32.0, output_mean=8.0),
-        )
-        ds = generate_generation_dataset(
-            history, n_samples=16, generation=gen, seq_len=16, seed=3,
-        )
-        assert ds.features.shape == (16, 5)
-        # Columns: (M, B, T) from the grid, then token statistics in the
-        # neighbourhood of the length-model means.
-        assert (ds.features[:, 0] > 0).all()  # memory_mb
-        assert (ds.features[:, 1] >= 1).all()  # batch_size
-        assert 8.0 < ds.features[:, 3].mean() < 128.0
-        assert 2.0 < ds.features[:, 4].mean() < 32.0
-        assert np.isfinite(ds.targets).all()
-        # TTFT percentile columns are monotone across the block.
-        lat = ds.targets[:, 1:]
-        assert (np.diff(lat, axis=1) >= -1e-12).all()
+        n, spec = 32, TargetSpec()
+        sequences = rng.exponential(0.01, size=(n, 16))
+        features = np.column_stack([
+            rng.choice([512.0, 1792.0], n), rng.choice([1, 4, 8], n),
+            rng.choice([0.0, 0.05], n), rng.uniform(16, 64, n),
+            rng.uniform(4, 16, n),
+        ])
+        latency = np.sort(rng.uniform(0.01, 0.2, (n, spec.n_outputs - 1)), axis=1)
+        targets = np.column_stack([rng.uniform(1.0, 5.0, n), latency])
+        ds = SurrogateDataset(sequences, features, targets, spec)
 
         model = DeepBATSurrogate(seq_len=16, n_features=5,
                                  n_outputs=ds.spec.n_outputs, seed=0)
@@ -665,21 +659,6 @@ class TestGenerationSurrogate:
         pred = trained.predict(ds.sequences[:4], ds.features[:4])
         assert pred.shape == (4, ds.spec.n_outputs)
         assert np.isfinite(pred).all()
-
-    def test_labeling_is_worker_independent(self):
-        from repro.core import generate_generation_dataset
-
-        rng = np.random.default_rng(1)
-        history = rng.exponential(0.01, size=3000)
-        gen = GenerationConfig(
-            dispatcher="buffer",
-            length_model=TokenLengthModel(prompt_mean=32.0, output_mean=8.0),
-        )
-        kwargs = dict(n_samples=8, generation=gen, seq_len=16, seed=5)
-        serial = generate_generation_dataset(history, **kwargs)
-        parallel = generate_generation_dataset(history, workers=2, **kwargs)
-        np.testing.assert_array_equal(serial.features, parallel.features)
-        np.testing.assert_array_equal(serial.targets, parallel.targets)
 
 
 # ------------------------------------------------------- headline pinned eval

@@ -7,12 +7,7 @@ import pytest
 
 from repro.utils.rng import as_rng, spawn_rngs, spawned_pcg64_states
 from repro.utils.timing import Timer
-from repro.utils.validation import (
-    check_finite,
-    check_positive,
-    check_probability_vector,
-    check_sorted,
-)
+from repro.utils.validation import check_finite, check_positive, check_sorted
 
 
 class TestRng:
@@ -115,15 +110,6 @@ class TestValidation:
             check_positive(0.0)
         with pytest.raises(ValueError):
             check_positive(-1.0, strict=False)
-
-    def test_check_probability_vector(self):
-        check_probability_vector(np.array([0.3, 0.7]))
-        with pytest.raises(ValueError):
-            check_probability_vector(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            check_probability_vector(np.array([[0.5], [0.5]]))
-        with pytest.raises(ValueError):
-            check_probability_vector(np.array([-0.1, 1.1]))
 
     def test_check_sorted(self):
         check_sorted(np.array([1.0, 1.0, 2.0]))
