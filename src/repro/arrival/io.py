@@ -14,18 +14,24 @@ from pathlib import Path
 import numpy as np
 
 from repro.arrival.traces import Trace
+from repro.utils.io import atomic_write
 
 
 def save_trace(trace: Trace, path: str | os.PathLike) -> None:
-    """Write a trace to ``.npz`` (timestamps + segmentation + metadata)."""
-    np.savez_compressed(
-        path,
-        timestamps=trace.timestamps,
-        segment_duration=np.array([trace.segment_duration]),
-        n_segments=np.array([trace.n_segments]),
-        name=np.array([trace.name]),
-        metadata=np.array([json.dumps(trace.metadata, default=str)]),
-    )
+    """Write a trace to ``.npz`` (timestamps + segmentation + metadata).
+
+    The archive is written to exactly ``path`` (no ``.npz`` is appended)
+    through :func:`repro.utils.io.atomic_write`.
+    """
+    with atomic_write(path) as handle:
+        np.savez_compressed(
+            handle,
+            timestamps=trace.timestamps,
+            segment_duration=np.array([trace.segment_duration]),
+            n_segments=np.array([trace.n_segments]),
+            name=np.array([trace.name]),
+            metadata=np.array([json.dumps(trace.metadata, default=str)]),
+        )
 
 
 def load_trace(path: str | os.PathLike) -> Trace:

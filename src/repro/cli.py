@@ -681,7 +681,7 @@ def _cmd_serve(args) -> int:
     if args.outages:
         rows += [
             ["outage windows", len(outage_cfg.windows)],
-            ["cold starts denied", log.outage_denied],
+            ["batches denied by outage", log.outage_denied],
             ["container crashes", f"{log.crashed_containers} "
                                   f"({log.crash_requeued} requests requeued)"],
             ["straggler batches", log.straggler_batches],

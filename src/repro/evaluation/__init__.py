@@ -8,7 +8,6 @@ from repro.evaluation.harness import (
     OracleChooser,
     SegmentOutcome,
     run_experiment,
-    run_oracle,
     run_segment,
 )
 from repro.evaluation.metrics import (
@@ -47,7 +46,6 @@ __all__ = [
     "slo_attainment",
     "sparkline",
     "run_experiment",
-    "run_oracle",
     "run_segment",
     "vcr",
 ]

@@ -329,39 +329,3 @@ class OracleChooser:
         )
         return Decision(config=config)
 
-
-def run_oracle(
-    trace: Trace,
-    configs: list[BatchConfig],
-    slo: float,
-    platform: ServerlessPlatform | None = None,
-    segments: range | None = None,
-    update_every: int | None = None,
-    history_tail: int = 4096,
-    sequence_length: int | None = None,
-    percentile: float = 95.0,
-) -> ExperimentLog:
-    """Ground-truth line: per segment, the exhaustive-search optimum.
-
-    Accepts the same ``segments``/``update_every``/``history_tail``/
-    ``sequence_length`` knobs as :func:`run_experiment`, so oracle and
-    controller runs are configured through one signature.
-    """
-    platform = platform if platform is not None else ServerlessPlatform()
-    segments = segments if segments is not None else range(1, trace.n_segments)
-    oracle = OracleChooser(configs, platform, percentile)
-    seq_len = _resolve_sequence_length(oracle, sequence_length)
-    log = ExperimentLog(
-        name="ground-truth", trace=trace.name, slo=slo, sequence_length=seq_len
-    )
-    for seg in segments:
-        oracle.set_future(trace.segment(seg, relative=False))
-        log.outcomes.append(
-            run_segment(
-                trace, seg, oracle, slo, platform,
-                update_every=update_every,
-                history_tail=history_tail,
-                sequence_length=seq_len,
-            )
-        )
-    return log

@@ -39,7 +39,7 @@ from repro.utils.io import atomic_write
 
 #: Bump when the snapshot layout changes; restore refuses other formats,
 #: so a snapshot only restores into a build that writes its layout.
-SNAPSHOT_FORMAT = 6
+SNAPSHOT_FORMAT = 7
 
 
 class CheckpointError(RuntimeError):

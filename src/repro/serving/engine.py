@@ -190,6 +190,7 @@ _COUNTERS = {
     "cold_retries": 0, "cold_retry_exhausted": 0, "hedges": 0,
     "hedge_wins": 0, "hedge_denied": 0, "hedge_cost": 0.0,
     "brownout_shed": 0, "failover_batches": 0, "unserved_batches": 0,
+    "outage_denied": 0,
 }
 
 
@@ -279,11 +280,9 @@ class _RunContext:
     batch_states: dict = field(default_factory=dict)
     batch_rng: np.random.Generator | None = None
     #: ``st.ts`` as a list of floats, built by the first :func:`_run_lanes`
-    #: of a drive.
+    #: of a drive: the known arrivals a buffer deadline is judged against
+    #: (:func:`_fills_by`).
     arrivals: list | None = None
-    #: ``arrivals`` in a single-engine run, ``None`` in a fleet: the known
-    #: arrivals a buffer deadline is judged against (:func:`_fills_by`).
-    lookahead: list | None = None
     #: ``(prompt_tokens, output_tokens)`` as lists of ints, built by the
     #: first :func:`_run_lanes` of a continuous-batching drive.
     token_lengths: tuple | None = None
@@ -865,14 +864,14 @@ class ServingEngine:
     def _arm_timer(self, st: _RunState, ctx: _RunContext) -> None:
         # After any observe/poll/reconfigure the head deadline is
         # strictly in the future, so a timer armed here never fires
-        # late; the set dedupes repeat arming of the same deadline. A
-        # single-engine run arms it only if the head batch will not fill
-        # first, and judges again on every reconfigure.
+        # late; the set dedupes repeat arming of the same deadline. It
+        # is armed only if the head batch will not close first, and
+        # judged again on every reconfigure.
         deadline = st.buffer.next_deadline()
         if (
             deadline is not None and deadline not in st.timers
-            and not (ctx.lookahead is not None and _fills_by(
-                st.buffer, ctx.lookahead, st.arrival_ptr, deadline))
+            and not _fills_by(st.buffer, ctx.arrivals, st.arrival_ptr,
+                              deadline)
         ):
             st.timers.add(deadline)
             self._push(st, deadline, _P_TIMER, _K_TIMER, deadline)
@@ -1344,9 +1343,15 @@ class ServingEngine:
                   now: float) -> None:
         if self._try_start(st, ctx, batch, now):
             return
+        # The pool grants a warm container before it checks the window, so
+        # a denial while one is open is the outage's: count the batch once
+        # here, never its retries.
+        outage = st.pool.outage
+        in_outage = outage is not None and outage.active(now)
+        if in_outage:
+            st.counters["outage_denied"] += 1
         backoff = self._backoff
-        if (backoff is not None and st.pool.outage is not None
-                and st.pool.outage.active(now)):
+        if backoff is not None and in_outage:
             # Capacity-unavailable during an outage window: retry the cold
             # start on a capped exponential backoff schedule instead of
             # parking in the queue. The whole jittered schedule is drawn
@@ -1691,7 +1696,6 @@ class ServingEngine:
             evicted_containers=stats.evicted,
             prewarmed_containers=stats.prewarmed,
             prewarm_retired=stats.retired,
-            outage_denied=stats.outage_denied,
             # Counted from the mask: a winning hedge clears failures.
             n_failed=int(st.failed.sum()),
             sequence_length=self.sequence_length,
@@ -1761,19 +1765,20 @@ def _run_lanes(lanes, stop: int = _NO_STOP, after=None, tick=None) -> bool:
     entries: :func:`_arrival_runs` merges them, and one goes first unless
     the heap head is earlier, or at its instant with a lower priority.
     Each event reaches its lane's handlers with the lane's ``(st, ctx)``;
-    the heap head is re-read only after a handler pushed.
+    the heap head is re-read only after a handler pushed. Every lane arms
+    a buffer deadline only when its known arrivals will not close the
+    head batch by then (:func:`_fills_by`).
 
     One lane with no hooks is a :class:`ServingEngine` run: it returns
     True when ``st.events_processed`` reaches ``stop``, False when no
     event is left. It feeds the buffer a run of arrivals per
     :meth:`BatchingBuffer.observe` call, cut so that only the run's last
-    arrival can close a batch, and arms a buffer deadline only when the
-    known arrivals will not fill the head batch by then (:func:`_fills_by`).
-    Each arrival still counts as one event. A fleet runs to the end, one
-    arrival per step and arming every deadline, calling ``after(lane, st)``
-    after each lane event and ``tick(time)`` for each fleet entry (tie
-    key ``-1``: first at equal ``(time, priority)``). Batches still
-    queued at the end fail (:meth:`ServingEngine._fail_unserved`).
+    arrival can close a batch. Each arrival still counts as one event. A
+    fleet runs to the end, one arrival per step, calling
+    ``after(lane, st)`` after each lane event and ``tick(time)`` for each
+    fleet entry (tie key ``-1``: first at equal ``(time, priority)``).
+    Batches still queued at the end fail
+    (:meth:`ServingEngine._fail_unserved`).
     """
     fleet = len(lanes) > 1 or after is not None or tick is not None
     heap = lanes[0][1].heap
@@ -1784,7 +1789,6 @@ def _run_lanes(lanes, stop: int = _NO_STOP, after=None, tick=None) -> bool:
         if eng._gen_continuous and ctx.token_lengths is None:
             ctx.token_lengths = (st.prompt_tokens.tolist(),
                                  st.output_tokens.tolist())
-        ctx.lookahead = None if fleet else ctx.arrivals
         arrival_locals.append((
             eng, st, ctx, ctx.arrivals, st.buffer, st.timers, st.recent_ts,
             st.trace is not None or ctx.journal is not None,
@@ -1861,7 +1865,7 @@ def _run_lanes(lanes, stop: int = _NO_STOP, after=None, tick=None) -> bool:
                 deadline = buffer.next_deadline()
                 if (
                     deadline is not None and deadline not in timers
-                    and (fleet or not _fills_by(buffer, ts, ptr, deadline))
+                    and not _fills_by(buffer, ts, ptr, deadline)
                 ):
                     timers.add(deadline)
                     heappush(heap, (deadline, _P_TIMER, st.seq, _K_TIMER,

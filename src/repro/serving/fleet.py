@@ -636,8 +636,7 @@ class FleetEngine:
         cap. The drain (budgeted fleets) runs when the budget's ``freed``
         flag is up, a lane's memory tier changed, or the clock reached a
         queued lane's :meth:`BudgetedWarmPool.wake_at`; otherwise every
-        queued acquire would be denied again, so only the ``outage_denied``
-        it would have added is counted. ``sync`` keeps per-lane queue
+        queued acquire would be denied again. ``sync`` keeps per-lane queue
         lengths, their total and the lanes ``min_queue`` deep exact for
         the lanes an event or pass touched. Pinned by the fleet golden
         digests (``test_fleet_passes.py``, ``test_fleet_drive_equivalence``).
@@ -663,8 +662,6 @@ class FleetEngine:
         qlen = [0] * n
         total = deep = 0
         tiers = [st.active.memory_mb for _eng, st, _ctx in lanes]
-        outage_lanes = [j for j, (_eng, st, _ctx) in enumerate(lanes)
-                        if st.pool.outage is not None]
         wake = math.inf
 
         def sync(j: int) -> None:
@@ -702,13 +699,6 @@ class FleetEngine:
                     wake = min((lanes[j][1].pool.wake_at(now)
                                 for j in range(n) if qlen[j]),
                                default=math.inf)
-                else:
-                    # The skipped drain's retries: each queued lane inside
-                    # an outage window would have been denied once more.
-                    for j in outage_lanes:
-                        pool = lanes[j][1].pool
-                        if qlen[j] and pool.outage.active(now):
-                            pool.stats.outage_denied += 1
             if deep:
                 for j in self._failover_pass(lanes, now):
                     sync(j)

@@ -211,10 +211,10 @@ class ServingLog:
     gen_shed: int = 0
     # Infrastructure outages + graceful degradation (PR 10); all zero/None
     # when the features are off.
-    #: Pool calls (acquire or prewarm) refused because an outage window
-    #: was open: a batch waiting out a window counts once per retry, and
-    #: under a fleet budget the drain retries every queued lane once per
-    #: fleet step (see :class:`~repro.serving.pool.PoolStats`).
+    #: Batch dispatches an open outage window refused, one per batch (a
+    #: crashed batch dispatches again). The retries that follow (cold-start
+    #: backoff, the fleet drain, failover) and refused prewarm ticks add
+    #: nothing, so a budget that never binds leaves the count alone.
     outage_denied: int = 0
     crashed_containers: int = 0
     #: Requests that re-entered the queue after their container crashed.

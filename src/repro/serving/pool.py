@@ -83,17 +83,7 @@ class _Container:
 
 @dataclass
 class PoolStats:
-    """Lifetime counters the serving log reports.
-
-    ``outage_denied`` counts denied *calls*, not batches: every
-    :meth:`WarmPool.acquire` or :meth:`WarmPool.prewarm` refused because
-    an outage window was open. A batch that waits out a window therefore
-    counts once per retry. Under a fleet budget that includes the drain
-    pass, which retries each queued lane once per fleet step: in a 2-lane
-    fleet whose lane 0 has an outage, lane 0 reports 108 denials without
-    a budget and 1030 with a non-binding ``max_containers=8``, serving
-    the same requests at the same latencies.
-    """
+    """Lifetime counters the serving log reports."""
 
     cold_starts: int = 0
     warm_starts: int = 0
@@ -102,7 +92,6 @@ class PoolStats:
     prewarmed: int = 0
     retired: int = 0
     crashed: int = 0
-    outage_denied: int = 0
 
     @property
     def cold_start_rate(self) -> float:
@@ -259,7 +248,6 @@ class WarmPool:
             # Capacity crunch: no warm container matched and the platform
             # cannot provision (nor evict-to-provision) until the window
             # closes. The caller backs off, queues, or sheds.
-            self.stats.outage_denied += 1
             return None
 
         cap = self.config.max_containers
@@ -353,7 +341,6 @@ class WarmPool:
         if self.outage is not None and self.outage.active(now):
             # Speculative provisioning hits the same capacity wall as a
             # demand-driven cold start.
-            self.stats.outage_denied += 1
             return 0
         containers = self._containers
         cap = self.config.max_containers

@@ -7,14 +7,14 @@ snapshots (:mod:`repro.serving.checkpoint`). :func:`atomic_write` implements the
 standard discipline once: write to a temporary file in the *same directory*
 (so the final rename never crosses a filesystem), flush and fsync it, then
 ``os.replace`` it over the destination. Readers see either the old complete
-file or the new complete file, never a prefix of the new one.
+file or the new complete file, never a prefix of the new one. The file gets
+the mode a plain ``open()`` would give it: ``0o666`` less the umask.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from typing import IO, Iterator
 
 
@@ -30,10 +30,15 @@ def atomic_write(path: str | os.PathLike, mode: str = "wb") -> Iterator[IO]:
     if mode not in ("wb", "w"):
         raise ValueError(f"mode must be 'wb' or 'w', got {mode!r}")
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
+    while True:
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+        try:
+            # Not mkstemp, whose 0o600 would outlive the rename: the
+            # kernel applies the umask to 0o666, as a plain open() does.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, mode) as handle:
             yield handle

@@ -11,7 +11,6 @@ from repro.core.types import Decision
 from repro.evaluation.harness import (
     ExperimentLog,
     run_experiment,
-    run_oracle,
     run_segment,
 )
 from repro.serverless.platform import ServerlessPlatform
@@ -198,19 +197,6 @@ class TestSegmentResilience:
 
 
 class TestOracle:
-    def test_oracle_meets_slo_when_feasible(self):
-        log = run_oracle(TRACE, GRID, slo=0.1, platform=PLAT)
-        # The oracle optimizes on the exact future; its p95 per segment
-        # should be at or below the SLO (up to batch-boundary effects).
-        for out in log.outcomes:
-            assert out.p(95) <= 0.1 * 1.05
-
-    def test_oracle_cheaper_than_no_batching(self):
-        log = run_oracle(TRACE, GRID, slo=0.1, platform=PLAT)
-        no_batch = FixedChooser(BatchConfig(1792.0, 1, 0.0))
-        base = run_experiment(TRACE, no_batch, slo=0.1, platform=PLAT)
-        assert log.total_cost < base.total_cost
-
     def test_oracle_requires_future(self):
         from repro.evaluation.harness import OracleChooser
 

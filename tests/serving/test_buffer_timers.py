@@ -1,9 +1,10 @@
-"""The single-engine loop schedules only the buffer timeouts that can fire.
+"""The event loop schedules only the buffer timeouts that can fire.
 
 A buffer deadline is armed only when the known arrivals will not close the
-head batch by then: fill it, or land exactly on the deadline. In a static run nothing else moves the head, so every
-timer that fires finds its deadline at the buffer head and dispatches. A
-reconfiguration judges the head batch again under its new ``(B, T)``.
+head batch by then: fill it, or land exactly on the deadline. In a static
+run nothing else moves the head, so every timer that fires finds its
+deadline at the buffer head and dispatches. A reconfiguration judges the
+head batch again under its new ``(B, T)``. Fleet lanes keep the same rule.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.service_profile import ColdStartModel
 from repro.serving import ServingEngine, WarmPoolConfig
 from repro.serving.engine import _fills_by
+from repro.serving.fleet import _LaneEngine
+from tests.serving.test_golden_digests import run_fleet
 
 pytestmark = pytest.mark.serving
 
@@ -72,6 +75,25 @@ def test_every_timer_fires_on_the_head_batch_of_a_grid_trace():
     assert eng.fired
     assert all(at_head and n > 0 for at_head, n in eng.fired)
     assert log.n_events == ts.size + log.batch_sizes.size + len(eng.fired)
+
+
+def test_every_fleet_timer_fires_on_the_head_batch(monkeypatch):
+    # The golden fleet: four static lanes under a shared budget, with
+    # outages, crashes, hedging, failover and brownout. None of them
+    # moves a lane's buffer head, so no fired timer finds its batch gone.
+    fired = []
+    on_timer = _LaneEngine._on_timer
+
+    def checking(self, st, ctx, now, deadline):
+        at_head = st.buffer.next_deadline() == deadline
+        before = len(st.buffer._sizes)
+        on_timer(self, st, ctx, now, deadline)
+        fired.append((at_head, len(st.buffer._sizes) - before))
+
+    monkeypatch.setattr(_LaneEngine, "_on_timer", checking)
+    run_fleet()
+    assert fired
+    assert all(at_head and n > 0 for at_head, n in fired)
 
 
 def test_fill_arrival_on_the_deadline_needs_no_timer():

@@ -5,7 +5,9 @@ over one shared heap ranked ``(time, priority, lane, seq)``, with the
 lanes' arrivals merged by ``(time, lane)``. The first four digests were
 recorded on a loop that scanned every lane per event and kept through the
 lane-merging loops that followed it, event traces included: shared budget,
-per-lane choosers, faults, and scheduler ticks.
+per-lane choosers, faults, and scheduler ticks. Every digest here was
+re-pinned once, when fleet lanes stopped arming the buffer deadlines their
+own arrivals close first; only ``n_events`` moved.
 
 The tie-order digests were recorded on the lane-merging loop before the
 shared heap replaced it. Their arrivals sit on a 1/64 s grid, so equal
@@ -77,17 +79,17 @@ def make_traffic(seed0=20, lam=150.0, n=900):
 #: :func:`~tests.serving.test_golden_digests.fleet_digest` of each scenario.
 GOLDEN = {
     "independent":
-        "0a22f74cf44851061b1f904cc4c708fc0f5f0bbcf427ce0ac707ee42e0b6215d",
+        "48c955cde47012d0d314be11445e29d17ef32c83f987bee24f649b43ca48cd58",
     "faults-choosers":
-        "8a52b8cca25edf8246e9a6dfd18eb962000f17064b18097ea5b53f1136277495",
+        "97913d1fd0bc9426e6704a65584882d71204545f9fe7d848d615e9e205d0dca5",
     "budget":
-        "4294d477e799914372a6abf7137bb9483e9748938ab97b370506af2e852e0ba6",
+        "1567ec8f0e1201d4e8b2742af3e1d6f5e869824d26bbdf79c9d4e80e568985d8",
     "scheduler":
-        "6c76593fe523085892a8b13d2d06b86a06f42d6ae04499d6841f5f393a535e5b",
+        "a4ad3d3f9c67b78e5161cc5cc70082c54e3e04bc77aa3b65217f7c1a5ff4fd09",
     "tie-twins":
-        "856b1c516bcae6762f797c5a4dc6b9db4e3f55c7c298bd1902bb2a992a7e1b57",
+        "10b19f493ade2c3fafda7600c966a7efcc2cb1d1644467334355eac5d80656ee",
     "tie-ticks":
-        "e5647fa388e56e792aedaf117224f418473a03066f07190be96438233a6700a8",
+        "10f7987e90e85d2adb65cf1349f0691ae205a83e76df980825b5f439a6ca63ee",
 }
 
 

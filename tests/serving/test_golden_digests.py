@@ -423,11 +423,11 @@ GOLDEN = {
     "faults":
         "bba016f4ae10f287c9fc0f05774a117b6fef78a157a56f34de7f32ff0a3531c1",
     "outages":
-        "afcd2c1f6b1a54c862b0e3487b29225ff309de04ca5a25b46a2c8ba30b10f934",
+        "5d4f8fc660d2538b68f85125bee103cbb0ff477e672e657b9ffc8aa1171c7e4c",
     "control-plane":
         "2728d6cff18855f0830586d9e78cccc6c76d669d7e0f7ce9351a8cadce2e50b8",
     "fleet":
-        "b6cf863d86f7363c78f7b0144a555121dcf197f47089caee56627317c88ebbce",
+        "e75b5addaca7210bf1128fe9e6b89577b0966b66d9230b1d2a85b008965aed35",
     "gen-buffer":
         "5ae0dcc711eb7d8d53d5755c70513d9dcf800ed4c09021881f9ca6995fb2d6b3",
     "gen-continuous":
@@ -439,7 +439,7 @@ GOLDEN = {
     "gen-guardrail":
         "5dd0b0b8a4365b98142000e59d9e31751ed86bd53728501cfeeccca5f7e61146",
     "checkpoint":
-        "fcbb200c9727d059b08a535ff7cbf7dee89afedc1d52a6e9018bb7e6df3317cb",
+        "d1de56e0c626afde8e1fe6ee96db6af31ae97cf0d51d01f944c65ecdcd64fcca",
 }
 
 #: :func:`behaviour_digest` of the single-engine scenarios: the engine may
@@ -464,7 +464,7 @@ BEHAVIOUR = {
     "gen-guardrail":
         "55c50ad0d34b0a36cc458b3a08e17a374f86decf118cf10a28a2f823decd7649",
     "checkpoint":
-        "505a3b1f0ce00a7b4560154db716bc58725248fad873e77fe5ea2fa27ead7a45",
+        "16d14647689bd456e818dd6f15988021e448bc20022f231218181efad76bc59c",
     "unbuffered":
         "226c277c9aeccaf7a9a62c54abafe89937ae3eeccb14ba3e142b6fead162d606",
     "grid":

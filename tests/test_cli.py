@@ -38,6 +38,16 @@ class TestTracesCommand:
         assert trace.n_segments == 3
         assert trace.timestamps.size > 100
 
+    def test_generate_writes_the_path_given(self, tmp_path):
+        # No suffix: the archive lands at exactly ``--out``, where
+        # ``train --trace`` will look for it.
+        path = tmp_path / "t"
+        rc = main(["traces", "generate", "--segments", "2",
+                   "--segment-duration", "10", "--out", str(path)])
+        assert rc == 0
+        assert load_trace(path).n_segments == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t"]
+
     def test_generate_csv(self, tmp_path):
         path = tmp_path / "t.csv"
         rc = main(["traces", "generate", "--kind", "twitter",

@@ -3,13 +3,16 @@
 * every name in a ``repro`` package's ``__all__`` resolves;
 * no ``src/`` module (``__init__`` files aside) imports a name at module
   level that it never uses, judged with :mod:`ast`;
-* every backticked ``repro.*`` dotted name and repository path in
-  ``DESIGN.md`` and ``README.md`` resolves, so a deletion cannot leave the
-  docs pointing at code that is gone.
+* every backticked ``repro.*`` dotted name, ``Class.attr`` name of a
+  ``repro`` class and repository path in ``DESIGN.md`` and ``README.md``
+  resolves, so a deletion cannot leave the docs pointing at code that is
+  gone.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -87,18 +90,53 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.relative_to(ROOT)} never uses {unused}"
 
 
-def _doc_references(doc: str) -> tuple[set[str], set[str]]:
-    """Backticked ``repro.*`` dotted names, and backticked paths whose first
-    part is a top-level source tree or a ``repro`` subpackage."""
+def _doc_references(doc: str) -> tuple[set[str], set[str], set[tuple]]:
+    """Backticked ``repro.*`` dotted names, backticked paths whose first
+    part is a top-level source tree or a ``repro`` subpackage, and
+    backticked ``Name.attr`` pairs (``Name`` capitalised and not itself
+    after a dot)."""
     roots = {"src", "tests", "benchmarks", "examples"} | {
         p.name for p in SRC.iterdir() if (p / "__init__.py").exists()}
-    dotted, paths = set(), set()
+    dotted, paths, pairs = set(), set(), set()
     for span in re.findall(r"`([^`\n]+)`", (ROOT / doc).read_text()):
         dotted.update(re.findall(r"\brepro(?:\.\w+)+", span))
+        pairs.update(re.findall(r"(?<![\w.])([A-Z]\w*)\.(\w+)", span))
         if (re.fullmatch(r"[\w.-]+(/[\w.-]*)+", span)
                 and span.split("/")[0] in roots):
             paths.add(span)
-    return dotted, paths
+    return dotted, paths, pairs
+
+
+def _class_attributes() -> dict[str, set[str]]:
+    """Class name -> the attributes of every ``repro`` class of that name:
+    what the class and its bases define, its dataclass fields, and what
+    the methods of its ``repro`` bases assign to ``self``."""
+    assigned = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                assigned.setdefault(node.name, set()).update(
+                    t.attr for n in ast.walk(node)
+                    for t in getattr(n, "targets", [getattr(n, "target", 0)])
+                    if isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self"
+                )
+    attrs = {}
+    for path in MODULES:
+        name = ".".join(("repro",) + path.relative_to(SRC).with_suffix("").parts)
+        if name == "repro.__main__":
+            continue
+        for cls in vars(importlib.import_module(name)).values():
+            if not (inspect.isclass(cls) and cls.__module__ == name):
+                continue
+            found = attrs.setdefault(cls.__name__, set())
+            found.update(dir(cls))
+            if dataclasses.is_dataclass(cls):
+                found.update(f.name for f in dataclasses.fields(cls))
+            for base in cls.__mro__:
+                if base.__module__.startswith("repro"):
+                    found.update(assigned.get(base.__name__, ()))
+    return attrs
 
 
 def _resolves(dotted: str) -> bool:
@@ -118,9 +156,20 @@ def _resolves(dotted: str) -> bool:
 
 @pytest.mark.parametrize("doc", DOCS)
 def test_doc_references_resolve(doc):
-    dotted, paths = _doc_references(doc)
+    dotted, paths, _pairs = _doc_references(doc)
     assert dotted and paths
     broken = sorted(name for name in dotted if not _resolves(name)) + sorted(
         path for path in paths
         if not (ROOT / path).exists() and not (SRC / path).exists())
     assert not broken, f"{doc} names what does not exist: {broken}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_doc_class_attributes_resolve(doc):
+    attrs = _class_attributes()
+    pairs = {(cls, attr) for cls, attr in _doc_references(doc)[2]
+             if cls in attrs}
+    assert pairs
+    broken = sorted(f"{cls}.{attr}" for cls, attr in pairs
+                    if attr not in attrs[cls])
+    assert not broken, f"{doc} names attributes that do not exist: {broken}"

@@ -2,6 +2,7 @@
 snapshots both write through it)."""
 
 import os
+import stat
 
 import pytest
 
@@ -43,6 +44,18 @@ class TestAtomicWrite:
             with atomic_write(path) as fh:
                 raise RuntimeError("boom")
         assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        # The temporary file is created 0600; the written file must get
+        # the mode a plain open() would, not stay owner-only.
+        path = tmp_path / "out.bin"
+        old = os.umask(0o022)
+        try:
+            with atomic_write(path) as fh:
+                fh.write(b"ok")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_temp_file_lives_in_the_target_directory(self, tmp_path):
         # os.replace is only atomic within a filesystem; the temp file must
